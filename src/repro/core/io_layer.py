@@ -50,7 +50,6 @@ from ..sim.trace import (
 from ..streaming.serialize import (
     decode_tuple,
     deserialize_cost,
-    SCALAR_TYPES,
     encode_train,
     encode_train_uniform,
     encode_tuple,
@@ -161,33 +160,43 @@ class TyphoonFabric:
 #: special Ethernet address (broadcast, controller, select-group virtual).
 _DstKey = Union[int, WorkerAddress]
 
-#: Value types whose decoded form is indistinguishable from the sender's
-#: object (immutable scalars that round-trip the codec exactly). Tuples
-#: made only of these ride the same-process fast lane: the frame carries
-#: the object alongside the authoritative bytes and the receiver skips
-#: the decode walk. Containers are excluded — decode materializes fresh
-#: mutable lists/dicts (and turns tuples into lists), so aliasing the
-#: sender's objects would be observable.
-#: (Single source of truth lives in the codec module so the fused
-#: serialize+classify fast path can never drift from this set.)
-_FASTLANE_TYPES = SCALAR_TYPES
 
+class _TrainAnnotation:
+    """Frame annotation for the same-process fast lane.
 
-class _TrainAnnotation(list):
-    """Frame annotation for a tuple train whose objects the sender's
-    batched send path has released: every item is an ``(obj, nbytes)``
-    pair whose ``obj`` the transport owns outright (its
-    ``source_component`` was blanked at buffering time), so the *first*
-    local delivery may adopt the objects by reference instead of
-    cloning. ``claimed`` arms after that first delivery — replicated
-    frames (broadcast rules, debug mirrors) share one annotation object
-    through ``EthernetFrame.with_dst``, and each extra delivery must
-    get its own clones exactly as the legacy annotation path does."""
+    Records ``start..end`` of ``objs`` are the sender's tuples in frame
+    order and ``rlens`` their encoded lengths; the payload still holds
+    the authoritative bytes. Every value is an exact scalar type (see
+    :data:`repro.streaming.serialize.SCALAR_TYPES`), so a decode would
+    rebuild each tuple field for field and the receiver may skip it.
+    Containers never ride the lane: decode materializes fresh mutable
+    lists/dicts, so aliasing the sender's objects would be observable.
 
-    __slots__ = ("claimed",)
+    The first local delivery may adopt objects the batched send path
+    released (it blanked their ``source_component`` when it queued the
+    train) instead of cloning them. ``released`` says every object of
+    the window is such a one, so the adoption is one list slice;
+    otherwise each object is tested and the unreleased ones cloned.
+    ``claimed`` arms after that first delivery: replicated frames
+    (broadcast rules, debug mirrors) share one annotation through
+    ``EthernetFrame.with_dst``, and every later delivery clones. ``est``
+    is the window's store-sizer charge when the encoder precomputed it
+    (an exact integer — see ``ests`` in
+    :func:`repro.streaming.serialize.encode_train`), else ``None``."""
 
-    def __init__(self):
-        super().__init__()
+    __slots__ = ("objs", "rlens", "stream", "start", "end", "est",
+                 "released", "claimed")
+
+    def __init__(self, objs: List[StreamTuple], rlens: List[int],
+                 stream: Optional[int], start: int, end: int,
+                 est: Optional[int], released: bool):
+        self.objs = objs
+        self.rlens = rlens
+        self.stream = stream
+        self.start = start
+        self.end = end
+        self.est = est
+        self.released = released
         self.claimed = False
 
 
@@ -227,31 +236,6 @@ class _TrainChunk:
         self.stream = stream
         self.start = start
         self.end = end
-
-
-class _ChunkAnnotation:
-    """Frame annotation for a fused single-chunk flush whose records
-    are all fast-lane eligible: shares the train's parallel arrays
-    instead of materializing per-tuple pairs, so the first local
-    delivery adopts the whole window with one list slice. ``est`` is
-    the window's precomputed store-sizer charge (an exact integer —
-    see ``ests`` in :func:`repro.streaming.serialize.encode_train`).
-    ``claimed`` has :class:`_TrainAnnotation` semantics: replicated
-    frames share this object, and every delivery after the first
-    clones."""
-
-    __slots__ = ("objs", "rlens", "stream", "start", "end", "est",
-                 "claimed")
-
-    def __init__(self, objs: List[StreamTuple], rlens: List[int],
-                 stream: Optional[int], start: int, end: int, est: int):
-        self.objs = objs
-        self.rlens = rlens
-        self.stream = stream
-        self.start = start
-        self.end = end
-        self.est = est
-        self.claimed = False
 
 
 class _SendBuffer(list):
@@ -432,30 +416,6 @@ class TyphoonTransport(Transport):
 
     # -- outbound (northbound -> southbound -> switch) -----------------------
 
-    def _dst_address(self, dst: _DstKey) -> WorkerAddress:
-        address = self._addr_cache.get(dst)
-        if address is None:
-            if isinstance(dst, WorkerAddress):
-                return dst
-            address = self._addr_cache[dst] = WorkerAddress(self.app_id, dst)
-        return address
-
-    def _enqueue(self, address: WorkerAddress, encoded: bytes,
-                 obj: Optional[StreamTuple] = None) -> float:
-        buffer = self._buffers.get(address)
-        if buffer is None:
-            buffer = self._buffers[address] = _SendBuffer()
-        buffer.append((encoded, obj))
-        buffer.tuples += 1
-        self.tuples_sent += 1
-        ledger = self.ledger
-        if ledger is not None:
-            ledger.record_sent(self.app_id)
-        cost = self._enqueue_cost
-        if buffer.tuples >= self.batch_size:
-            cost += self._flush_address(address)
-        return cost
-
     def _trace_serialized(self, stream_tuple: StreamTuple,
                           nbytes: int, cost: float) -> None:
         if stream_tuple.trace_id is None:
@@ -465,20 +425,15 @@ class TyphoonTransport(Transport):
             tracer.event(stream_tuple.trace_id, H_SERIALIZE, cost=cost,
                          nbytes=nbytes)
 
-    def _fastlane_obj(self,
-                      stream_tuple: StreamTuple) -> Optional[StreamTuple]:
-        for value in stream_tuple.values:
-            if type(value) not in _FASTLANE_TYPES:
-                return None
-        return stream_tuple
-
     def send(self, stream_tuple: StreamTuple,
              dst_worker_ids: Sequence[int]) -> float:
+        """The per-tuple primitive: serialize once, queue one record per
+        destination (a worker id, or a special address such as
+        ``BROADCAST`` or a select group's virtual address)."""
         # Hottest method in the data plane (once per tuple emitted):
-        # _dst_address / _fastlane_obj / _enqueue / serialize_cost are
-        # inlined here. Cost arithmetic mirrors the helper structure
-        # exactly (per-destination enqueue+flush summed first, then
-        # added) so schedules stay bit-identical.
+        # address interning, buffering and the serialize cost are
+        # inlined. Per-destination enqueue+flush is summed first, then
+        # added, so schedules stay bit-identical.
         if self.closed or not dst_worker_ids:
             return 0.0
         encoded, all_scalar = encode_tuple_scalar(stream_tuple)
@@ -518,141 +473,21 @@ class TyphoonTransport(Transport):
 
     def send_many(self, stream_tuples: Sequence[StreamTuple],
                   dst: _DstKey) -> float:
-        """Batched :meth:`send`: every tuple goes to the same single
-        destination. Exactly equivalent to calling ``send(t, [dst])``
-        per tuple and summing the costs — same serialization, same
-        per-tuple cost terms in the same accumulation order, same flush
-        points — with the per-call setup (address/buffer resolution,
-        cost-model reads) hoisted out of the loop. The executor uses it
-        when a whole emission batch rides one single-hop edge."""
-        if self.closed or not stream_tuples:
-            return 0.0
-        costs = self.costs
-        ser_per_tuple = costs.serialize_per_tuple
-        ser_per_byte = costs.serialize_per_byte
-        address = self._addr_cache.get(dst)
-        if address is None:
-            if isinstance(dst, WorkerAddress):
-                address = self._addr_cache[dst] = dst
-            else:
-                address = self._addr_cache[dst] = WorkerAddress(self.app_id,
-                                                                dst)
-        buffers = self._buffers
-        buffer = buffers.get(address)
-        if buffer is None:
-            buffer = buffers[address] = _SendBuffer()
-        # _flush_address clears the list in place (the object is reused
-        # across batch windows), so the local alias stays valid.
-        append = buffer.append
-        enqueue_cost = self._enqueue_cost
-        batch_size = self.batch_size
-        cost = 0.0
-        blen = buffer.tuples
-        # Train fast path: encode the whole batch into one contiguous
-        # length-prefixed buffer, queued chunk-per-flush-window instead
-        # of record-per-tuple. A train encodes only when no tuple is
-        # anchored/traced/sequenced (the unadorned hot path), and the
-        # per-tuple cost terms below are accumulated in exactly the
-        # per-tuple loop's order. Fast-lane objects are released to the
-        # transport here — blanking source_component marks them
-        # adoptable by the first local receiver (see
-        # :class:`_TrainAnnotation`).
-        train = encode_train(stream_tuples)
-        if train is not None:
-            data, bounds, rlens, ests, objs, tstream = train
-            all_fast = objs is None
-            # Blanking is hoisted out of the cost loop: nothing observes
-            # the tuples between per-tuple iterations (frame forwarding
-            # is event-scheduled, never inline), so the store order is
-            # unobservable. objs None means "all fast — the input run
-            # itself"; chunks need their own list because the executor
-            # reuses (clears in place) the pending list it passed in.
-            if all_fast:
-                for obj in stream_tuples:
-                    obj.source_component = ""
-                objs = list(stream_tuples)
-            else:
-                for obj in objs:
-                    if obj is not None:
-                        obj.source_component = ""
-            terms = self._train_terms
-            term_get = terms.get
-            n = len(objs)
-            seg = 0
-            prev_rlen = -1
-            term = 0.0
-            # Flush-delimited runs (see send_interleaved): no per-tuple
-            # batch-counter bookkeeping, memoized (serialize + enqueue)
-            # term refreshed only when the record length changes —
-            # identical float expression, same operation order.
-            i = 0
-            while i < n:
-                fi = i + (batch_size - 1 - blen)
-                if fi < i:
-                    fi = i
-                stop = fi if fi < n else n
-                for rlen in rlens[i:stop]:
-                    if rlen != prev_rlen:
-                        term = term_get(rlen)
-                        if term is None:
-                            term = terms[rlen] = (
-                                ser_per_tuple + rlen * ser_per_byte
-                                + enqueue_cost)
-                        prev_rlen = rlen
-                    cost += term
-                if fi >= n:
-                    blen += n - i
-                    break
-                tcost = ser_per_tuple + rlens[fi] * ser_per_byte
-                end = fi + 1
-                append(_TrainChunk(data, bounds, rlens, ests, objs,
-                                   all_fast, tstream, seg, end))
-                buffer.tuples += end - seg
-                seg = end
-                dcost = enqueue_cost
-                dcost += self._flush_address(address)
-                blen = 0
-                tcost += dcost
-                cost += tcost
-                i = end
-            if seg < n:
-                append(_TrainChunk(data, bounds, rlens, ests, objs,
-                                   all_fast, tstream, seg, n))
-                buffer.tuples += n - seg
-        else:
-            for stream_tuple in stream_tuples:
-                encoded, all_scalar = encode_tuple_scalar(stream_tuple)
-                tcost = ser_per_tuple + len(encoded) * ser_per_byte
-                if stream_tuple.trace_id is not None:
-                    self._trace_serialized(stream_tuple, len(encoded), tcost)
-                append((encoded, stream_tuple if all_scalar else None))
-                buffer.tuples += 1
-                blen += 1
-                dcost = enqueue_cost
-                if blen >= batch_size:
-                    dcost += self._flush_address(address)
-                    blen = 0
-                tcost += dcost
-                cost += tcost
-        sent = len(stream_tuples)
-        # Counter/ledger bumps are coalesced: nothing outside this call
-        # can observe them before it returns (frame forwarding is
-        # event-scheduled, never inline).
-        self.tuples_sent += sent
-        self.serializations += sent
-        if self.ledger is not None:
-            self.ledger.record_sent(self.app_id, sent)
-        return cost
+        """Batched :meth:`send` of every tuple to one destination: the
+        train sender with nothing charged between tuples."""
+        return self.send_interleaved(stream_tuples, dst, 0.0, 0.0)
 
     def send_interleaved(self, stream_tuples: Sequence[StreamTuple],
                          dst: _DstKey, pre_cost: float,
                          cost: float, uniform: bool = False) -> float:
-        """Batched replay of the executor's per-tuple spout dispatch:
-        ``for t: cost += pre_cost; cost += send(t, [dst])`` with the
-        identical float-addition sequence on the running ``cost`` (the
-        per-tuple send total is assembled serialize-then-enqueue exactly
-        as :meth:`send` does). One call frame per emission batch instead
-        of two per tuple.
+        """The train primitive, which every batched send delegates to.
+        Replays the executor's per-tuple dispatch ``for t: cost +=
+        pre_cost; cost += send(t, [dst])`` with the identical
+        float-addition sequence on the running ``cost`` (the per-tuple
+        send total is assembled serialize-then-enqueue exactly as
+        :meth:`send` does), in one call frame per batch. ``dst`` is a
+        worker id or a special address (``BROADCAST`` for the
+        switch-replicated one-to-many send).
 
         ``uniform=True`` is the caller's pledge that the whole batch
         came off one collector's fast-sink lane — one shared
@@ -681,16 +516,17 @@ class TyphoonTransport(Transport):
         buffer = buffers.get(address)
         if buffer is None:
             buffer = buffers[address] = _SendBuffer()
-        # _flush_address clears the list in place, so the alias holds
-        # and the tracked length resets to zero at each flush point.
+        # _flush_address clears the list in place (the object is reused
+        # across batch windows), so the alias holds and the tracked
+        # length resets to zero at each flush point.
         append = buffer.append
         enqueue_cost = self._enqueue_cost
         batch_size = self.batch_size
         blen = buffer.tuples
-        # Train fast path (see :meth:`send_many`): one contiguous
-        # whole-batch encode queued chunk-per-flush-window, identical
-        # per-tuple cost accumulation, fast-lane objects released to
-        # the transport.
+        # Train fast path: encode the whole batch into one contiguous
+        # length-prefixed buffer, queued chunk-per-flush-window instead
+        # of record-per-tuple. A train encodes only when no tuple is
+        # anchored/traced/sequenced (the unadorned hot path).
         if uniform:
             first = stream_tuples[0]
             train = encode_train_uniform(stream_tuples, first.stream,
@@ -700,9 +536,14 @@ class TyphoonTransport(Transport):
         if train is not None:
             data, bounds, rlens, ests, objs, tstream = train
             all_fast = objs is None
-            # Blanking hoisted out of the cost loop (see send_many);
-            # chunks get their own objs list because the executor
-            # clears the pending list it passed in.
+            # Fast-lane objects are released to the transport: blanking
+            # source_component marks them adoptable by the first local
+            # receiver (see :class:`_TrainAnnotation`). Blanking is
+            # hoisted out of the cost loop: nothing observes the tuples
+            # between per-tuple iterations (frame forwarding is
+            # event-scheduled, never inline). objs None means "all fast
+            # — the input run itself"; chunks need their own list
+            # because the executor clears the pending list it passed in.
             if all_fast:
                 for obj in stream_tuples:
                     obj.source_component = ""
@@ -766,6 +607,7 @@ class TyphoonTransport(Transport):
                                    all_fast, tstream, seg, n))
                 buffer.tuples += n - seg
         else:
+            # Stamped batch: one record per tuple, as send() queues it.
             for stream_tuple in stream_tuples:
                 cost += pre_cost
                 encoded, all_scalar = encode_tuple_scalar(stream_tuple)
@@ -782,6 +624,9 @@ class TyphoonTransport(Transport):
                 tcost += dcost
                 cost += tcost
         sent = len(stream_tuples)
+        # Counter/ledger bumps are coalesced: nothing outside this call
+        # can observe them before it returns (frame forwarding is
+        # event-scheduled, never inline).
         self.tuples_sent += sent
         self.serializations += sent
         if self.ledger is not None:
@@ -790,126 +635,20 @@ class TyphoonTransport(Transport):
 
     def send_broadcast(self, stream_tuple: StreamTuple,
                        dst_worker_ids: Sequence[int]) -> float:
-        """One packet with the broadcast destination; the switch replicates
-        to as many destinations as the one-to-many rule lists (§3.3.1)."""
-        if self.closed:
-            return 0.0
-        encoded, all_scalar = encode_tuple_scalar(stream_tuple)
-        cost = serialize_cost(self.costs, len(encoded))
-        self.serializations += 1
-        self._trace_serialized(stream_tuple, len(encoded), cost)
-        cost += self._enqueue(BROADCAST, encoded,
-                              stream_tuple if all_scalar else None)
-        return cost
+        """One record to the broadcast address; the switch replicates
+        it to as many destinations as the one-to-many rule lists
+        (§3.3.1)."""
+        return self.send(stream_tuple, (BROADCAST,))
 
     def send_broadcast_interleaved(self, stream_tuples: Sequence[StreamTuple],
                                    dst_worker_ids: Sequence[int],
                                    pre_cost: float, cost: float,
                                    uniform: bool = False) -> float:
-        """Batched :meth:`send_broadcast` with the executor's per-tuple
-        ``cost += pre_cost`` interleaving replayed bit-exactly (the
-        per-tuple broadcast total is assembled serialize-then-enqueue
-        exactly as :meth:`send_broadcast` does). Each tuple is still one
-        broadcast record — the switch's one-to-many rule replicates the
-        frames — but the whole train is encoded in a single pass.
-        ``uniform=True`` carries the same fast-sink pledge as in
-        :meth:`send_interleaved`."""
-        if not stream_tuples:
-            return cost
-        if self.closed:
-            # send_broadcast() would return 0.0 per tuple; += 0.0 is a
-            # bit-exact no-op on a finite cost, so only pre_cost remains.
-            for _ in stream_tuples:
-                cost += pre_cost
-            return cost
-        if uniform:
-            first = stream_tuples[0]
-            train = encode_train_uniform(stream_tuples, first.stream,
-                                         first.source_worker)
-        else:
-            train = encode_train(stream_tuples)
-        if train is None:
-            # Anchored/traced/sequenced batch: replay per tuple.
-            for stream_tuple in stream_tuples:
-                cost += pre_cost
-                cost += self.send_broadcast(stream_tuple, dst_worker_ids)
-            return cost
-        costs = self.costs
-        ser_per_tuple = costs.serialize_per_tuple
-        ser_per_byte = costs.serialize_per_byte
-        buffers = self._buffers
-        buffer = buffers.get(BROADCAST)
-        if buffer is None:
-            buffer = buffers[BROADCAST] = _SendBuffer()
-        append = buffer.append
-        enqueue_cost = self._enqueue_cost
-        batch_size = self.batch_size
-        blen = buffer.tuples
-        data, bounds, rlens, ests, objs, tstream = train
-        all_fast = objs is None
-        # Blanking hoisted out of the cost loop (see send_many); chunks
-        # get their own objs list because the executor clears the
-        # pending list it passed in.
-        if all_fast:
-            for obj in stream_tuples:
-                obj.source_component = ""
-            objs = list(stream_tuples)
-        else:
-            for obj in objs:
-                if obj is not None:
-                    obj.source_component = ""
-        terms = self._train_terms
-        term_get = terms.get
-        n = len(objs)
-        seg = 0
-        prev_rlen = -1
-        term = 0.0
-        # Flush-delimited runs (see send_interleaved): no per-tuple
-        # batch-counter bookkeeping, memoized (serialize + enqueue)
-        # term refreshed only when the record length changes —
-        # identical float expression, same operation order.
-        i = 0
-        while i < n:
-            fi = i + (batch_size - 1 - blen)
-            if fi < i:
-                fi = i
-            stop = fi if fi < n else n
-            for rlen in rlens[i:stop]:
-                cost += pre_cost
-                if rlen != prev_rlen:
-                    term = term_get(rlen)
-                    if term is None:
-                        term = terms[rlen] = (
-                            ser_per_tuple + rlen * ser_per_byte
-                            + enqueue_cost)
-                    prev_rlen = rlen
-                cost += term
-            if fi >= n:
-                blen += n - i
-                break
-            cost += pre_cost
-            tcost = ser_per_tuple + rlens[fi] * ser_per_byte
-            end = fi + 1
-            append(_TrainChunk(data, bounds, rlens, ests, objs,
-                               all_fast, tstream, seg, end))
-            buffer.tuples += end - seg
-            seg = end
-            dcost = enqueue_cost
-            dcost += self._flush_address(BROADCAST)
-            blen = 0
-            tcost += dcost
-            cost += tcost
-            i = end
-        if seg < n:
-            append(_TrainChunk(data, bounds, rlens, ests, objs,
-                               all_fast, tstream, seg, n))
-            buffer.tuples += n - seg
-        sent = n
-        self.tuples_sent += sent
-        self.serializations += sent
-        if self.ledger is not None:
-            self.ledger.record_sent(self.app_id, sent)
-        return cost
+        """Batched :meth:`send_broadcast`: the train sender aimed at the
+        broadcast address. Each tuple is still one record, which the
+        switch's one-to-many rule replicates."""
+        return self.send_interleaved(stream_tuples, BROADCAST, pre_cost,
+                                     cost, uniform)
 
     def send_offloaded(self, stream_tuple: StreamTuple, edge_key,
                        dst_worker_ids: Sequence[int]) -> float:
@@ -925,13 +664,7 @@ class TyphoonTransport(Transport):
             self._rr_counters[edge_key] = counter + 1
             index = counter % len(dst_worker_ids)
             return self.send(stream_tuple, [dst_worker_ids[index]])
-        encoded = encode_tuple(stream_tuple)
-        cost = serialize_cost(self.costs, len(encoded))
-        self.serializations += 1
-        self._trace_serialized(stream_tuple, len(encoded), cost)
-        cost += self._enqueue(address, encoded,
-                              self._fastlane_obj(stream_tuple))
-        return cost
+        return self.send(stream_tuple, (address,))
 
     def send_to_controller(self, stream_tuple: StreamTuple) -> float:
         """Framework-layer reply path (METRIC_RESP): flushed immediately."""
@@ -941,7 +674,18 @@ class TyphoonTransport(Transport):
         cost = serialize_cost(self.costs, len(encoded))
         self.serializations += 1
         self._trace_serialized(stream_tuple, len(encoded), cost)
-        cost += self._enqueue(CONTROLLER_ADDRESS, encoded)
+        buffer = self._buffers.get(CONTROLLER_ADDRESS)
+        if buffer is None:
+            buffer = self._buffers[CONTROLLER_ADDRESS] = _SendBuffer()
+        buffer.append((encoded, None))
+        buffer.tuples += 1
+        self.tuples_sent += 1
+        if self.ledger is not None:
+            self.ledger.record_sent(self.app_id)
+        enqueue_cost = self._enqueue_cost
+        if buffer.tuples >= self.batch_size:
+            enqueue_cost += self._flush_address(CONTROLLER_ADDRESS)
+        cost += enqueue_cost
         cost += self._flush_address(CONTROLLER_ADDRESS)
         return cost
 
@@ -1023,9 +767,9 @@ class TyphoonTransport(Transport):
                 cost = costs.jni_call_overhead
                 cost += per_packet + len(payload) * per_byte + ring_op
                 ests = chunk.ests
-                annotation = _ChunkAnnotation(
+                annotation = _TrainAnnotation(
                     chunk.objs, chunk.rlens, chunk.stream, start, end,
-                    ests[end] - ests[start])
+                    ests[end] - ests[start], True)
                 self.frames_sent += 1
                 self.switch.inject(self.port_no, EthernetFrame(
                     dst=address, src=self.address,
@@ -1056,6 +800,8 @@ class TyphoonTransport(Transport):
                     tracer.event(trace_id, H_BATCH, branch=branch,
                                  batch=len(items))
         records = [item[0] for item in items]
+        objs = [item[1] for item in items]
+        rlens = [len(record) for record in records]
         payloads, self._frag_id, spans = pack_tuples_spans(
             records, self.mtu, self._frag_id)
         # One JNI crossing per batch handed to the southbound library.
@@ -1066,14 +812,15 @@ class TyphoonTransport(Transport):
             cost += per_packet + len(payload) * per_byte + ring_op
             annotation = None
             if span is not None:
+                # Whole-tuple payload: annotated when every record of
+                # it is fast-lane eligible.
                 start, end = span
-                annotation = _TrainAnnotation()
-                for j in range(start, end):
-                    obj = items[j][1]
+                for obj in objs[start:end]:
                     if obj is None:
-                        annotation = None
                         break
-                    annotation.append((obj, len(records[j])))
+                else:
+                    annotation = _TrainAnnotation(objs, rlens, None, start,
+                                                  end, None, False)
             frames.append(EthernetFrame(dst=address, src=src_address,
                                         ethertype=TYPHOON_ETHERTYPE,
                                         payload=payload, tuples=annotation))
@@ -1118,126 +865,31 @@ class TyphoonTransport(Transport):
                 + costs.jni_call_overhead)
         annotated = frame.tuples
         if annotated is not None and self._live_tracer() is None:
-            # Same-process fast lane: the sender attached the original
-            # tuples (all-scalar values, so a decode would reproduce them
-            # exactly); reconstruct deliveries without walking the bytes.
-            # Costs are charged from the authoritative encoded lengths,
-            # term for term as the decode path would.
-            per_tuple = costs.deserialize_per_tuple
-            per_byte = costs.deserialize_per_byte
-            if type(annotated) is _ChunkAnnotation:
-                start = annotated.start
-                end = annotated.end
-                objs = annotated.objs
-                if not annotated.claimed:
-                    # First local delivery of a fused train window:
-                    # adopt the sender's objects with one list slice —
-                    # the batched send path blanked every
-                    # source_component, so each object *is* what the
-                    # clone below would have built.
-                    annotated.claimed = True
-                    tuples = objs[start:end]
-                else:
-                    # Replicated frame (broadcast rule, debug mirror):
-                    # clone field-by-field exactly as the legacy
-                    # annotation path does.
-                    new = StreamTuple.__new__
-                    tuples = []
-                    append = tuples.append
-                    for j in range(start, end):
-                        src_tuple = objs[j]
-                        out = new(StreamTuple)
-                        out.values = src_tuple.values
-                        out.stream = src_tuple.stream
-                        out.source_component = ""
-                        out.source_worker = src_tuple.source_worker
-                        out.anchor = src_tuple.anchor
-                        out.trace_id = src_tuple.trace_id
-                        out.seq = src_tuple.seq
-                        append(out)
-                # Memoized deserialize terms: identical float
-                # expression per record length, added in record order,
-                # so the accumulated cost is bit-identical to the
-                # per-tuple walk. The store-sizer estimate was
-                # precomputed (exact integer arithmetic) at encode
-                # time.
-                terms = self._recv_terms
-                term_get = terms.get
-                prev_rlen = -1
-                term = 0.0
-                for rlen in annotated.rlens[start:end]:
-                    if rlen != prev_rlen:
-                        term = term_get(rlen)
-                        if term is None:
-                            term = terms[rlen] = per_tuple + rlen * per_byte
-                        prev_rlen = rlen
-                    cost += term
-                est = annotated.est
-                cost += self._pending_recv_cost
-                self._pending_recv_cost = 0.0
-                accepted = self.deliver(Delivery(tuples=tuples, cost=cost,
-                                                 nbytes=est,
-                                                 stream=annotated.stream))
-                if self.ledger is not None:
-                    scope = self._frame_scope(frame)
-                    if accepted:
-                        self.ledger.record_delivered(scope, len(tuples))
-                    else:
-                        self.ledger.record_drop(scope, LAYER_TRANSPORT,
-                                                R_DELIVER_REJECTED,
-                                                len(tuples))
-                return
-            tuples = []
-            append = tuples.append
-            # The store's OOM sizer (delivery_bytes) is prepaid here:
-            # fast-lane values are guaranteed *exact* scalar types, so
-            # the exact-type size checks below reproduce the sizer's
-            # isinstance-based estimate identically, and the walk rides
-            # the clone/adopt loop instead of a second pass per store op.
-            est = 0
-            if type(annotated) is _TrainAnnotation and not annotated.claimed:
-                # First local delivery of a released train: adopt the
-                # sender's objects by reference — the batched send path
-                # already blanked source_component, so each object *is*
-                # what the clone below would have built. Items buffered
-                # by a non-batched send (mixed buffer) still carry their
-                # component name and get a real clone.
-                annotated.claimed = True
-                new = StreamTuple.__new__
-                for src_tuple, nbytes in annotated:
-                    cost += per_tuple + nbytes * per_byte
-                    if src_tuple.source_component:
-                        out = new(StreamTuple)
-                        values = src_tuple.values
-                        out.values = values
-                        out.stream = src_tuple.stream
-                        out.source_component = ""
-                        out.source_worker = src_tuple.source_worker
-                        out.anchor = src_tuple.anchor
-                        out.trace_id = src_tuple.trace_id
-                        out.seq = src_tuple.seq
-                        append(out)
-                    else:
-                        values = src_tuple.values
-                        append(src_tuple)
-                    est += 80
-                    for value in values:
-                        kind = type(value)
-                        if kind is str or kind is bytes:
-                            est += len(value)
-                        else:
-                            est += 8
+            # Same-process fast lane (see :class:`_TrainAnnotation`):
+            # reconstruct the delivery from the sender's objects without
+            # walking the bytes.
+            start = annotated.start
+            end = annotated.end
+            first = not annotated.claimed
+            annotated.claimed = True
+            if first and annotated.released:
+                # Every object was released, so each one *is* what the
+                # clone below would build: adopt the window by slicing.
+                tuples = annotated.objs[start:end]
             else:
                 new = StreamTuple.__new__
-                for src_tuple, nbytes in annotated:
-                    cost += per_tuple + nbytes * per_byte
+                tuples = []
+                append = tuples.append
+                for src_tuple in annotated.objs[start:end]:
+                    if first and not src_tuple.source_component:
+                        append(src_tuple)
+                        continue
                     # Field-by-field clone via __new__ (hot path):
                     # matches what decode_tuple would build —
                     # source_component is reset to "", everything else
                     # carried over.
                     out = new(StreamTuple)
-                    values = src_tuple.values
-                    out.values = values
+                    out.values = src_tuple.values
                     out.stream = src_tuple.stream
                     out.source_component = ""
                     out.source_worker = src_tuple.source_worker
@@ -1245,8 +897,33 @@ class TyphoonTransport(Transport):
                     out.trace_id = src_tuple.trace_id
                     out.seq = src_tuple.seq
                     append(out)
+            # Costs are charged from the authoritative encoded lengths:
+            # the memoized deserialize term is the identical float
+            # expression per record length, added in record order, so
+            # the accumulated cost is bit-identical to the decode walk.
+            per_tuple = costs.deserialize_per_tuple
+            per_byte = costs.deserialize_per_byte
+            terms = self._recv_terms
+            term_get = terms.get
+            prev_rlen = -1
+            term = 0.0
+            for rlen in annotated.rlens[start:end]:
+                if rlen != prev_rlen:
+                    term = term_get(rlen)
+                    if term is None:
+                        term = terms[rlen] = per_tuple + rlen * per_byte
+                    prev_rlen = rlen
+                cost += term
+            est = annotated.est
+            if est is None:
+                # The store's OOM sizer (delivery_bytes) is prepaid
+                # here: fast-lane values are *exact* scalar types, so
+                # the exact-type checks reproduce the sizer's
+                # isinstance-based estimate identically.
+                est = 0
+                for out in tuples:
                     est += 80
-                    for value in values:
+                    for value in out.values:
                         kind = type(value)
                         if kind is str or kind is bytes:
                             est += len(value)
@@ -1255,7 +932,8 @@ class TyphoonTransport(Transport):
             cost += self._pending_recv_cost
             self._pending_recv_cost = 0.0
             accepted = self.deliver(Delivery(tuples=tuples, cost=cost,
-                                             nbytes=est))
+                                             nbytes=est,
+                                             stream=annotated.stream))
             if self.ledger is not None:
                 scope = self._frame_scope(frame)
                 if accepted:

@@ -63,6 +63,10 @@ ACK_ACK = "ack"
 ACK_COMPLETE = "complete"
 ACK_FAIL = "fail"
 
+#: Outgoing routers grouped by stream id: ``stream -> [(key, router)]``
+#: with the edge key ``(dst_component, stream)``.
+_EdgeIndex = Dict[int, List[Tuple[Tuple[str, int], Router]]]
+
 
 class WorkerCrashed(RuntimeError):
     """Raised internally when the user component throws."""
@@ -318,7 +322,7 @@ class WorkerExecutor:
         self.config = config
         self.transport = transport
         self.routers = _RouterMap(routers)
-        self._stream_index: Dict[int, List[Tuple[Tuple[str, int], Router]]] = {}
+        self._stream_index: _EdgeIndex = {}
         self._stream_index_version = -1
         self.metrics = metrics
         self.rng = rng
@@ -894,21 +898,11 @@ class WorkerExecutor:
         next_tuple = self.component.next_tuple
         billed = self._billed_services
         app_compute = self.costs.app_compute_per_tuple
-        routers = self.routers
-        if self._stream_index_version != routers.version:
-            index: Dict[int, List[Tuple[Tuple[str, int], Router]]] = {}
-            for key, router in routers.items():
-                index.setdefault(key[1], []).append((key, router))
-            self._stream_index = index
-            self._stream_index_version = routers.version
-        index = self._stream_index
+        index = self._edges_by_stream()
         tracer = self.tracer
         tracing = tracer is not None and tracer.enabled
-        transport = self.transport
         stats = self.stats
         marked = 0
-        last_stream = None
-        last_edges = None
         # Deferred dispatch: the common spout shape is one emission per
         # next_tuple() call on one single-hop edge. Those tuples are
         # collected in `pending` and dispatched through a single
@@ -944,21 +938,12 @@ class WorkerExecutor:
                     # Emissions from the crashing call itself stay
                     # buffered (exactly as the per-tuple path leaves
                     # them), ahead of any slower emissions of the call.
-                    tail = pending[plen:]
+                    buffered[:0] = [(st, None) for st in pending[plen:]]
                     del pending[plen:]
-                    buffered[:0] = [(st, None) for st in tail]
                 if pending:
-                    k = len(pending)
-                    if fast_bcast:
-                        cost = transport.send_broadcast_interleaved(
-                            pending, fast_router.next_hops, app_compute,
-                            cost, uniform=True)
-                    else:
-                        fast_router.advance(k)
-                        cost = transport.send_interleaved(
-                            pending, fast_router.next_hops[0], app_compute,
-                            cost, uniform=True)
-                    marked += k
+                    cost = self._send_run(pending, fast_router, fast_bcast,
+                                          cost)
+                    marked += len(pending)
                     pending = []
                 if marked:
                     # The crash callback may snapshot stats; flush the
@@ -972,7 +957,6 @@ class WorkerExecutor:
                 ))
                 break
             extra = collector.extra_cost
-            tail = None
             if fast_sink:
                 np = len(pending)
                 if np - plen == 1 and extra == 0.0 and not buffered:
@@ -982,12 +966,12 @@ class WorkerExecutor:
                     continue
                 if np != plen:
                     # Rare: the call emitted several fast-stream tuples
-                    # (and possibly slower ones after them). Split them
-                    # off; they are routed per tuple below, before the
-                    # buffered emissions, preserving call order.
-                    tail = pending[plen:]
+                    # (and possibly slower ones after them). Move them
+                    # ahead of the buffered emissions, preserving call
+                    # order; they are routed per tuple below.
+                    buffered[:0] = [(st, None) for st in pending[plen:]]
                     del pending[plen:]
-                n = (np - plen) + len(buffered)
+                n = len(buffered)
             else:
                 n = len(buffered)
                 if defer_ok and n == 1 and not extra:
@@ -1020,17 +1004,8 @@ class WorkerExecutor:
             # Fallback: dispatch any deferred run first, then handle
             # this iteration exactly as the per-tuple path would.
             if pending:
-                k = len(pending)
-                if fast_bcast:
-                    cost = transport.send_broadcast_interleaved(
-                        pending, fast_router.next_hops, app_compute, cost,
-                        uniform=True)
-                else:
-                    fast_router.advance(k)
-                    cost = transport.send_interleaved(
-                        pending, fast_router.next_hops[0], app_compute,
-                        cost, uniform=True)
-                marked += k
+                cost = self._send_run(pending, fast_router, fast_bcast, cost)
+                marked += len(pending)
                 if fast_sink:
                     # emit() aliases this list; clear in place.
                     pending.clear()
@@ -1046,51 +1021,8 @@ class WorkerExecutor:
             if n == 0:
                 break
             cost += app_compute * n
-            dcost = 0.0
-            if tail:
-                for stream_tuple in tail:
-                    if fast_bcast:
-                        # Broadcast never consults route(): the switch
-                        # replicates, the router holds no policy state.
-                        dcost += transport.send_broadcast(
-                            stream_tuple, fast_router.next_hops)
-                    else:
-                        dsts = fast_router.route(stream_tuple)
-                        dcost += transport.send(stream_tuple, dsts)
-                    marked += 1
-            for stream_tuple, direct_dst in buffered:
-                if tracing:
-                    tracer.maybe_trace(stream_tuple,
-                                       component=self.component_name,
-                                       worker=self.worker_id,
-                                       stream=stream_tuple.stream)
-                if direct_dst is not None:
-                    dcost += transport.send(stream_tuple, [direct_dst])
-                    marked += 1
-                    continue
-                stream = stream_tuple.stream
-                if stream != last_stream:
-                    last_edges = index.get(stream)
-                    last_stream = stream
-                edges = last_edges
-                if not edges:
-                    continue
-                for key, router in edges:
-                    if router.is_broadcast:
-                        group = router.replication_group
-                        if group is not None:
-                            stream_tuple.seq = group.stamp_input(stream_tuple)
-                        dcost += transport.send_broadcast(
-                            stream_tuple, router.next_hops
-                        )
-                    elif router.is_sdn_offloaded:
-                        dcost += transport.send_offloaded(
-                            stream_tuple, key, router.next_hops
-                        )
-                    else:
-                        dsts = router.route(stream_tuple)
-                        dcost += transport.send(stream_tuple, dsts)
-                marked += 1
+            dcost, routed = self._route_each(buffered, 0.0, index)
+            marked += routed
             del buffered[:]
             cost += dcost
             emitted += n
@@ -1112,17 +1044,9 @@ class WorkerExecutor:
                 # ahead of the crash, like completed per-tuple calls.
                 emitted += len(pending) - plen
                 if pending:
-                    k = len(pending)
-                    if fast_bcast:
-                        cost = transport.send_broadcast_interleaved(
-                            pending, fast_router.next_hops, app_compute,
-                            cost, uniform=True)
-                    else:
-                        fast_router.advance(k)
-                        cost = transport.send_interleaved(
-                            pending, fast_router.next_hops[0],
-                            app_compute, cost, uniform=True)
-                    marked += k
+                    cost = self._send_run(pending, fast_router, fast_bcast,
+                                          cost)
+                    marked += len(pending)
                     pending = []
                 if marked:
                     stats.emitted += marked
@@ -1141,17 +1065,9 @@ class WorkerExecutor:
                     # a per-call replay (no call boundaries survive a
                     # batch).
                     if pending:
-                        k = len(pending)
-                        if fast_bcast:
-                            cost = transport.send_broadcast_interleaved(
-                                pending, fast_router.next_hops,
-                                app_compute, cost, uniform=True)
-                        else:
-                            fast_router.advance(k)
-                            cost = transport.send_interleaved(
-                                pending, fast_router.next_hops[0],
-                                app_compute, cost, uniform=True)
-                        marked += k
+                        cost = self._send_run(pending, fast_router,
+                                              fast_bcast, cost)
+                        marked += len(pending)
                         pending.clear()
                         plen = 0
                     extra = collector.extra_cost
@@ -1164,17 +1080,8 @@ class WorkerExecutor:
                     cost += self._dispatch_emissions()
         collector.fast_pending = None
         if pending:
-            k = len(pending)
-            if fast_bcast:
-                cost = transport.send_broadcast_interleaved(
-                    pending, fast_router.next_hops, app_compute, cost,
-                    uniform=True)
-            else:
-                fast_router.advance(k)
-                cost = transport.send_interleaved(
-                    pending, fast_router.next_hops[0], app_compute, cost,
-                    uniform=True)
-            marked += k
+            cost = self._send_run(pending, fast_router, fast_bcast, cost)
+            marked += len(pending)
         if marked:
             stats.emitted += marked
             self.emitted_meter.mark(marked)
@@ -1182,95 +1089,46 @@ class WorkerExecutor:
 
     # -- emission dispatch ------------------------------------------------------------
 
-    @staticmethod
-    def _single_hop_router(edges) -> Optional[Router]:
-        """The stream's one router, if an emission batch can take the
-        batched point-to-point send path: exactly one edge, routing
-        decided worker-side (not broadcast / not SDN-offloaded), and a
-        single next hop so every tuple lands on the same destination."""
-        if edges is None or len(edges) != 1:
-            return None
-        router = edges[0][1]
-        if router.is_broadcast or router.is_sdn_offloaded:
-            return None
-        kind = router.grouping.kind
-        if kind != SHUFFLE and kind != GLOBAL:
-            return None
-        if len(router.next_hops) != 1:
-            return None
-        return router
-
-    @staticmethod
-    def _single_broadcast_router(edges) -> Optional[Router]:
-        """The stream's one router, if an emission batch can take the
-        batched broadcast send path: exactly one edge, GROUP_ALL
-        semantics, and no replica sequencer (sequenced edges stamp each
-        tuple before serializing, so they stay on the per-tuple path)."""
-        if edges is None or len(edges) != 1:
-            return None
-        router = edges[0][1]
-        if not router.is_broadcast or router.replication_group is not None:
-            return None
-        if not router.next_hops:
-            return None
-        return router
-
-    def _dispatch_emissions(self) -> float:
-        if not self.collector.buffered:
-            return 0.0
+    def _edges_by_stream(self) -> _EdgeIndex:
+        """The routers grouped by stream id, rebuilt only after the
+        ``routers`` dict changed. Dict insertion order is kept within
+        each stream, so per-tuple send order is unchanged."""
         routers = self.routers
         if self._stream_index_version != routers.version:
-            # Group edges by stream id, preserving dict insertion order
-            # within each stream so per-tuple send order is unchanged.
-            index: Dict[int, List[Tuple[Tuple[str, int], Router]]] = {}
+            index: _EdgeIndex = {}
             for key, router in routers.items():
                 index.setdefault(key[1], []).append((key, router))
             self._stream_index = index
             self._stream_index_version = routers.version
-        index = self._stream_index
-        cost = 0.0
+        return self._stream_index
+
+    def _send_run(self, run: List[StreamTuple], router: Router,
+                  broadcast: bool, cost: float) -> float:
+        """Dispatch a deferred spout run on its one edge through a
+        single batched send, which replays the per-tuple sequence
+        ``cost += app_compute; cost += send(t)`` bit-exactly on the
+        running ``cost``. Broadcast never consults ``route()``, so only
+        a point-to-point router advances."""
+        app_compute = self.costs.app_compute_per_tuple
+        if broadcast:
+            return self.transport.send_broadcast_interleaved(
+                run, router.next_hops, app_compute, cost, uniform=True)
+        router.advance(len(run))
+        return self.transport.send_interleaved(
+            run, router.next_hops[0], app_compute, cost, uniform=True)
+
+    def _route_each(self, batch: List[Tuple[StreamTuple, Any]], cost: float,
+                    index: _EdgeIndex) -> Tuple[float, int]:
+        """Route and send ``(tuple, direct_dst)`` emissions one at a
+        time, adding each send's cost to the running ``cost`` (summing
+        from zero and adding afterwards would change the float
+        association). Returns the cost and the number of emissions."""
         tracer = self.tracer
         tracing = tracer is not None and tracer.enabled
         transport = self.transport
         marked = 0
         last_stream = None
         last_edges = None
-        batch = self.collector.take()
-        if not tracing:
-            # Whole-batch fast path (see _emit_spout_batch): one
-            # send_many call when every tuple rides one single-hop edge
-            # (or one batched broadcast when it rides a pure GROUP_ALL
-            # edge — the train is encoded once, the switch replicates).
-            stream = batch[0][0].stream
-            edges = index.get(stream)
-            fast_router = self._single_hop_router(edges)
-            fast_bcast = False
-            if fast_router is None:
-                fast_router = self._single_broadcast_router(edges)
-                fast_bcast = fast_router is not None
-            if fast_router is not None:
-                for stream_tuple, direct_dst in batch:
-                    if (direct_dst is not None
-                            or stream_tuple.stream != stream):
-                        fast_router = None
-                        break
-            if fast_router is not None:
-                n = len(batch)
-                if fast_bcast:
-                    # Per-tuple broadcast never consults route(), so
-                    # there is no router state to advance. pre_cost 0.0
-                    # replays the slow path's bare `cost +=` additions.
-                    cost = transport.send_broadcast_interleaved(
-                        [item[0] for item in batch],
-                        fast_router.next_hops, 0.0, 0.0)
-                else:
-                    fast_router.advance(n)
-                    cost = transport.send_many(
-                        [item[0] for item in batch],
-                        fast_router.next_hops[0])
-                self.stats.emitted += n
-                self.emitted_meter.mark(n)
-                return cost
         for stream_tuple, direct_dst in batch:
             if tracing:
                 tracer.maybe_trace(stream_tuple,
@@ -1310,6 +1168,85 @@ class WorkerExecutor:
                     cost += transport.send(stream_tuple, dsts)
             # One emission per tuple, however many edges consume it.
             marked += 1
+        return cost, marked
+
+    @staticmethod
+    def _single_hop_router(edges) -> Optional[Router]:
+        """The stream's one router, if an emission batch can take the
+        batched point-to-point send path: exactly one edge, routing
+        decided worker-side (not broadcast / not SDN-offloaded), and a
+        single next hop so every tuple lands on the same destination."""
+        if edges is None or len(edges) != 1:
+            return None
+        router = edges[0][1]
+        if router.is_broadcast or router.is_sdn_offloaded:
+            return None
+        kind = router.grouping.kind
+        if kind != SHUFFLE and kind != GLOBAL:
+            return None
+        if len(router.next_hops) != 1:
+            return None
+        return router
+
+    @staticmethod
+    def _single_broadcast_router(edges) -> Optional[Router]:
+        """The stream's one router, if an emission batch can take the
+        batched broadcast send path: exactly one edge, GROUP_ALL
+        semantics, and no replica sequencer (sequenced edges stamp each
+        tuple before serializing, so they stay on the per-tuple path)."""
+        if edges is None or len(edges) != 1:
+            return None
+        router = edges[0][1]
+        if not router.is_broadcast or router.replication_group is not None:
+            return None
+        if not router.next_hops:
+            return None
+        return router
+
+    def _dispatch_emissions(self) -> float:
+        if not self.collector.buffered:
+            return 0.0
+        index = self._edges_by_stream()
+        tracer = self.tracer
+        tracing = tracer is not None and tracer.enabled
+        transport = self.transport
+        batch = self.collector.take()
+        if not tracing:
+            # Whole-batch fast path (see _emit_spout_batch): one
+            # send_many call when every tuple rides one single-hop edge
+            # (or one batched broadcast when it rides a pure GROUP_ALL
+            # edge — the train is encoded once, the switch replicates).
+            stream = batch[0][0].stream
+            edges = index.get(stream)
+            fast_router = self._single_hop_router(edges)
+            fast_bcast = False
+            if fast_router is None:
+                fast_router = self._single_broadcast_router(edges)
+                fast_bcast = fast_router is not None
+            if fast_router is not None:
+                for stream_tuple, direct_dst in batch:
+                    if (direct_dst is not None
+                            or stream_tuple.stream != stream):
+                        fast_router = None
+                        break
+            if fast_router is not None:
+                n = len(batch)
+                if fast_bcast:
+                    # Per-tuple broadcast never consults route(), so
+                    # there is no router state to advance. pre_cost 0.0
+                    # replays the slow path's bare `cost +=` additions.
+                    cost = transport.send_broadcast_interleaved(
+                        [item[0] for item in batch],
+                        fast_router.next_hops, 0.0, 0.0)
+                else:
+                    fast_router.advance(n)
+                    cost = transport.send_many(
+                        [item[0] for item in batch],
+                        fast_router.next_hops[0])
+                self.stats.emitted += n
+                self.emitted_meter.mark(n)
+                return cost
+        cost, marked = self._route_each(batch, 0.0, index)
         if marked:
             # The whole dispatch runs at one virtual instant: coalesced
             # counter/meter updates are indistinguishable from per-tuple

@@ -91,32 +91,29 @@ class Transport:
     """
 
     def send(self, stream_tuple: StreamTuple, dst_worker_ids: Sequence[int]) -> float:
-        """Route one tuple to explicit destinations; returns CPU cost."""
+        """Route one tuple to explicit destinations; returns CPU cost.
+        The per-tuple primitive every transport implements."""
         raise NotImplementedError
 
     def send_many(self, stream_tuples: Sequence[StreamTuple],
                   dst: Any) -> float:
         """Batched send: every tuple to the same single destination.
-        Semantically identical to per-tuple :meth:`send` calls (this
-        default is exactly that); transports override it to hoist
-        per-call setup out of the loop."""
-        cost = 0.0
-        dsts = [dst]
-        for stream_tuple in stream_tuples:
-            cost += self.send(stream_tuple, dsts)
-        return cost
+        Delegates to :meth:`send_interleaved` with nothing charged
+        between tuples, so it is exactly per-tuple :meth:`send` calls
+        summed from zero."""
+        return self.send_interleaved(stream_tuples, dst, 0.0, 0.0)
 
     def send_interleaved(self, stream_tuples: Sequence[StreamTuple],
                          dst: Any, pre_cost: float, cost: float,
                          uniform: bool = False) -> float:
-        """Batched replay of ``for t: cost += pre_cost; cost += send(t,
-        [dst])`` — the executor's per-tuple accumulation pattern — on
-        the running ``cost`` value, preserving the exact float-addition
-        sequence. This default is literally that loop; transports
-        override it to hoist per-call setup. ``uniform`` is the
-        caller's pledge that the batch shares one (stream, source)
-        envelope and carries no stamps — a hint only; this default
-        ignores it."""
+        """The batched primitive: replay of ``for t: cost += pre_cost;
+        cost += send(t, [dst])`` — the executor's per-tuple
+        accumulation pattern — on the running ``cost`` value,
+        preserving the exact float-addition sequence. This default is
+        literally that loop; transports override it to encode the batch
+        as one train. ``uniform`` is the caller's pledge that the batch
+        shares one (stream, source) envelope and carries no stamps — a
+        hint only; this default ignores it."""
         dsts = [dst]
         for stream_tuple in stream_tuples:
             cost += pre_cost
@@ -125,8 +122,9 @@ class Transport:
 
     def send_broadcast(self, stream_tuple: StreamTuple,
                        dst_worker_ids: Sequence[int]) -> float:
-        """One-to-many send. Typhoon serializes once and lets the switch
-        replicate; the baseline degenerates to per-destination sends."""
+        """One-to-many send. Typhoon sends one record to the broadcast
+        address through :meth:`send` and lets the switch replicate; the
+        baseline degenerates to per-destination sends."""
         raise NotImplementedError
 
     def send_broadcast_interleaved(self, stream_tuples: Sequence[StreamTuple],
@@ -136,8 +134,9 @@ class Transport:
         """Batched replay of ``for t: cost += pre_cost; cost +=
         send_broadcast(t, dsts)`` on the running ``cost`` value,
         preserving the exact float-addition sequence. This default is
-        literally that loop; transports override it to encode the whole
-        train in one pass. ``uniform`` as in :meth:`send_interleaved`."""
+        literally that loop; Typhoon delegates to
+        :meth:`send_interleaved` aimed at the broadcast address.
+        ``uniform`` as in :meth:`send_interleaved`."""
         for stream_tuple in stream_tuples:
             cost += pre_cost
             cost += self.send_broadcast(stream_tuple, dst_worker_ids)
@@ -146,8 +145,9 @@ class Transport:
     def send_offloaded(self, stream_tuple: StreamTuple, edge_key,
                        dst_worker_ids: Sequence[int]) -> float:
         """SDN-offloaded routing (§4, load balancer): the worker picks no
-        destination; the switch's select group rewrites it. Transports
-        without SDN support fall back to local round robin."""
+        destination; the switch's select group rewrites it (Typhoon
+        sends to the edge's virtual address through :meth:`send`).
+        Transports without SDN support fall back to local round robin."""
         raise NotImplementedError
 
     def flush(self) -> float:

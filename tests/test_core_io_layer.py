@@ -299,3 +299,125 @@ def test_close_drains_buffers_and_reassembly_into_ledger(engine):
         (1, "transport", R_AFTER_CLOSE): 1,
         (2, "reassembly", R_PENDING_AT_CLOSE): 1,
     }
+
+
+# -- one train sender: delegation equivalences --------------------------------
+
+
+class _CaptureSwitch:
+    """Stands in for the host switch: records every injected frame."""
+
+    def __init__(self):
+        self.frames = []
+
+    def add_port(self, name, deliver, kind=None):
+        return 1
+
+    def remove_port(self, port_no):
+        pass
+
+    def inject(self, port_no, frame):
+        self.frames.append(frame)
+
+    def inject_train(self, port_no, frames):
+        self.frames.extend(frames)
+
+
+class _CaptureFabric:
+    def __init__(self):
+        self.switch = _CaptureSwitch()
+        self.ledger = DeliveryLedger()
+        self.tracer = None
+
+
+def _capturing_transport(engine, batch):
+    fabric = _CaptureFabric()
+    transport = TyphoonTransport(engine, DEFAULT_COSTS, 1, app_id=1,
+                                 host_fabric=fabric, batch_size=batch)
+    transport.attach()
+    return transport, fabric
+
+
+def _stamped_batch(kind):
+    batch = []
+    for i in range(8):
+        # One container value: its batch window rides without objects.
+        values = ("w%d" % i, [i]) if i == 4 else ("w%d" % i, i)
+        stamp = {"seq": (2, i)} if kind == "seq" else {"trace_id": 100 + i}
+        batch.append(StreamTuple(values, stream=4, source_component="spout",
+                                 source_worker=1, **stamp))
+    return batch
+
+
+def _frame_view(frame):
+    annotation = frame.tuples
+    view = (frame.dst, frame.src, frame.ethertype, frame.payload)
+    if annotation is None:
+        return view + (None,)
+    window = slice(annotation.start, annotation.end)
+    return view + ((
+        [t.values for t in annotation.objs[window]],
+        annotation.rlens[window], annotation.stream, annotation.est,
+        annotation.released),)
+
+
+@pytest.mark.parametrize("kind", ["seq", "trace"])
+def test_stamped_broadcast_batch_equals_per_tuple_broadcasts(engine, kind):
+    """A stamped batch refuses train encoding; the batched broadcast
+    then replays per-tuple ``send_broadcast`` with the same ``cost +=
+    pre_cost`` interleaving: same frames, same cost float, same
+    counters."""
+    pre_cost = 3.7e-7
+    batched, batched_fabric = _capturing_transport(engine, batch=3)
+    cost_batched = batched.send_broadcast_interleaved(
+        _stamped_batch(kind), [2, 3], pre_cost, 0.125)
+    single, single_fabric = _capturing_transport(engine, batch=3)
+    cost_single = 0.125
+    for stream_tuple in _stamped_batch(kind):
+        cost_single += pre_cost
+        cost_single += single.send_broadcast(stream_tuple, [2, 3])
+    assert cost_batched.hex() == cost_single.hex()
+    assert batched.flush().hex() == single.flush().hex()
+    frames = [_frame_view(f) for f in batched_fabric.switch.frames]
+    assert frames == [_frame_view(f) for f in single_fabric.switch.frames]
+    assert all(frame[0] == BROADCAST for frame in frames)
+    assert [frame[4] is None for frame in frames] == [False, True, False]
+    for name in ("tuples_sent", "serializations", "frames_sent"):
+        assert getattr(batched, name) == getattr(single, name)
+    assert batched_fabric.ledger.sent == single_fabric.ledger.sent == {1: 8}
+
+
+def test_mixed_frame_first_delivery_adopts_released_train(engine):
+    """One flushed frame holding a released train chunk plus a per-tuple
+    record: the first local delivery adopts the chunk's objects by
+    identity and clones the per-tuple one; a replicated second delivery
+    clones every tuple."""
+    sender, fabric = _capturing_transport(engine, batch=100)
+    train = [StreamTuple(("a", 1), source_component="spout",
+                         source_worker=1),
+             StreamTuple(("b", 2), source_component="spout",
+                         source_worker=1)]
+    single = StreamTuple(("c", 3), source_component="spout",
+                         source_worker=1)
+    sender.send_many(train, 2)
+    sender.send(single, [2])
+    sender.flush()
+    (frame,) = fabric.switch.frames
+    assert not frame.tuples.released
+
+    deliveries = []
+    receiver = TyphoonTransport(engine, DEFAULT_COSTS, 2, app_id=1,
+                                host_fabric=_CaptureFabric())
+    receiver.deliver = lambda delivery: deliveries.append(delivery) or True
+    receiver._on_frame(frame, None)
+    receiver._on_frame(frame.with_dst(WorkerAddress(1, 3)), None)
+    first, second = deliveries
+    assert first.tuples[0] is train[0] and first.tuples[1] is train[1]
+    assert first.tuples[2] is not single
+    assert not any(t is o for t in second.tuples for o in train + [single])
+    for delivery in deliveries:
+        assert [t.values for t in delivery.tuples] == [("a", 1), ("b", 2),
+                                                       ("c", 3)]
+        assert all(t.source_component == "" for t in delivery.tuples)
+    assert first.cost.hex() == second.cost.hex()
+    assert first.nbytes == second.nbytes
