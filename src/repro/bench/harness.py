@@ -18,8 +18,7 @@ from ..sim.metrics import TimeSeries
 
 def write_json_report(result: Dict[str, Any], path: str) -> None:
     """Write a benchmark result dict as stable, diff-friendly JSON (the
-    BENCH_*.json convention: indented, sorted keys, trailing newline).
-    Shared by every bench harness so the artifact format cannot drift."""
+    BENCH_*.json convention: indented, sorted keys, trailing newline)."""
     with open(path, "w") as handle:
         json.dump(result, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -1,18 +1,18 @@
 """Pre-optimization reference implementations of the hot paths.
 
 These are faithful copies of the code that shipped before the hot-path
-performance overhauls (PR 4 and the sim-engine rebuild): the
-linearly-scanned flow table, the concatenation-per-value tuple encoder,
-the slice-copy decoder, and the single-global-heap event kernel. They
-exist so ``repro bench --perf`` can measure the optimization's speedup
-*on the machine it runs on* — the baseline is re-measured every run
-instead of trusting numbers recorded on different hardware — and so the
-golden-bytes / determinism-lock tests can assert the optimized code is
-exactly compatible with the original (byte-for-byte for the codec,
-event-order-identical for the scheduler).
+performance overhauls: the linearly-scanned flow table, the
+concatenation-per-value tuple encoder, the slice-copy decoder, and the
+single-global-heap event kernel. The module now holds test references
+only, each compared against its optimized counterpart:
 
-Nothing in the runtime imports this module; it is benchmark/test
-reference material only. Do not "optimize" it.
+* the codec, for ``tests/test_serialize_golden.py`` (byte-for-byte);
+* the engine, for ``tests/test_sim_determinism.py`` (identical
+  execution order);
+* the flow table, for ``tests/test_flow_cache.py`` (same winning
+  entry on every frame).
+
+Nothing in the runtime imports this module. Do not "optimize" it.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Congested-scenario scheduling benchmark (``repro bench --sched``).
+"""Congested-scenario scheduling benchmark (``repro bench``).
 
 Two word-count-like pipelines with a skewed fields grouping share a
 small cluster whose inter-host links are two orders of magnitude slower
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from .harness import write_json_report
 from ..net.hosts import Cluster, HostCapacity
 from ..sim.costs import DEFAULT_COSTS
 from ..sim.engine import Engine
@@ -251,11 +250,6 @@ def run_sched_bench(seed: int = 0,
                                 - naive["remote_crossings"]),
         },
     }
-
-
-#: Back-compat alias: the JSON writer moved to :mod:`repro.bench.harness`
-#: so every bench shares one artifact format.
-write_report = write_json_report
 
 
 def render_report(result: Dict[str, Any]) -> str:

@@ -24,15 +24,10 @@ duplicate committed tuples;
 enabled and prints the per-hop latency breakdown, verifying that every
 sampled tuple's hop segments sum exactly to the end-to-end latency the
 metrics registry recorded for it (exit status 1 on any mismatch);
-``bench --perf`` wall-clocks the hot paths (flow-table lookup, tuple
-encode/decode, fig8/fig9 end to end) against the pre-optimization
-reference implementations and optionally writes ``BENCH_hotpath.json``
-(exit status 1 if the fig8 steady-state cache hit rate drops below the
-perf-smoke gate);
-``bench --sched`` runs the congested scheduling scenario (two skewed
-pipelines over bandwidth-limited links) under the naive and the
-resource-aware scheduler and writes ``BENCH_sched.json`` (exit status 1
-if resource-aware placement loses to naive on throughput or p99).
+``bench`` runs the congested scheduling scenario (two skewed pipelines
+over bandwidth-limited links) under the naive and the resource-aware
+scheduler and writes ``BENCH_sched.json`` (exit status 1 if
+resource-aware placement loses to naive on throughput or p99).
 """
 
 from __future__ import annotations
@@ -162,30 +157,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_cmd = commands.add_parser(
         "bench",
-        help="wall-clock benchmarks of the reproduction itself")
-    bench_cmd.add_argument("--perf", action="store_true",
-                           help="run the hot-path benchmark (flow lookup, "
-                                "tuple encode/decode, fig8/fig9 end to end) "
-                                "against the pre-optimization baselines")
-    bench_cmd.add_argument("--sched", action="store_true",
-                           help="run the congested-scenario scheduling "
-                                "benchmark (resource-aware vs naive "
-                                "placement, SDN bandwidth allocation)")
+        help="congested-scenario scheduling benchmark (resource-aware vs "
+             "naive placement, SDN bandwidth allocation)")
     bench_cmd.add_argument("--seed", type=int, default=0)
-    bench_cmd.add_argument("--iterations", type=int, default=50_000,
-                           help="target op count per micro-benchmark")
-    bench_cmd.add_argument("--no-e2e", action="store_true",
-                           help="skip the fig8/fig9 end-to-end runs "
-                                "(micro-benchmarks only)")
-    bench_cmd.add_argument("--profile", action="store_true",
-                           help="run each --perf phase under cProfile and "
-                                "embed the top-25 cumulative entries per "
-                                "phase in the JSON report (wall-clock "
-                                "gates are skipped: profiled clocks are "
-                                "inflated)")
-    bench_cmd.add_argument("--output", default=None, metavar="PATH",
-                           help="also write the full report as JSON "
-                                "(e.g. BENCH_hotpath.json)")
+    bench_cmd.add_argument("--output", default="BENCH_sched.json",
+                           metavar="PATH",
+                           help="where to write the JSON report")
     return parser
 
 
@@ -326,39 +303,15 @@ def cmd_trace(seed: int, sample_every: int, rate: float, duration: float,
     return 0 if ok else 1
 
 
-def cmd_bench(perf: bool, seed: int, iterations: int, e2e: bool,
-              output: Optional[str], sched: bool = False,
-              profile: bool = False, out=sys.stdout) -> int:
-    if sched:
-        from .bench.sched import (
-            check_gates,
-            render_report,
-            run_sched_bench,
-            write_report,
-        )
+def cmd_bench(seed: int, output: str, out=sys.stdout) -> int:
+    from .bench.harness import write_json_report
+    from .bench.sched import check_gates, render_report, run_sched_bench
 
-        result = run_sched_bench(seed=seed)
-        default_output = "BENCH_sched.json"
-    elif perf:
-        from .bench.perf import (
-            check_gates,
-            render_report,
-            run_perf_bench,
-            write_report,
-        )
-
-        result = run_perf_bench(seed=seed, iterations=iterations, e2e=e2e,
-                                profile=profile)
-        default_output = None
-    else:
-        out.write("nothing to do: pass --perf or --sched\n")
-        return 2
+    result = run_sched_bench(seed=seed)
     out.write(render_report(result))
     out.write("\n")
-    output = output or default_output
-    if output:
-        write_report(result, output)
-        out.write("wrote %s\n" % output)
+    write_json_report(result, output)
+    out.write("wrote %s\n" % output)
     failures = check_gates(result)
     for failure in failures:
         out.write("GATE FAIL: %s\n" % failure)
@@ -387,7 +340,5 @@ def main(argv: Optional[List[str]] = None, out=sys.stdout) -> int:
         return cmd_trace(args.seed, args.sample_every, args.rate,
                          args.duration, args.hosts, out)
     if args.command == "bench":
-        return cmd_bench(args.perf, args.seed, args.iterations,
-                         not args.no_e2e, args.output, args.sched,
-                         args.profile, out)
+        return cmd_bench(args.seed, args.output, out)
     return 2

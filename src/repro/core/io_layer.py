@@ -315,8 +315,8 @@ class TyphoonTransport(Transport):
         self.dropped_after_close = 0
         # Train telemetry: flushes that took the fused single-slice
         # MULTI path in _emit_batch, and the tuples they carried. The
-        # perf bench derives its fast-path fraction and average train
-        # length from these.
+        # repo benchmark derives its fast-path fraction and average
+        # train length from these.
         self.fused_flushes = 0
         self.fused_tuples = 0
         # Memoized per-record-length cost terms. Record lengths repeat

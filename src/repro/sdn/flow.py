@@ -260,7 +260,7 @@ class MegaflowCache:
     * table loss or environment changes (switch crash, GroupMod,
       PortStatus, SwitchReconnect) clear the whole cache.
 
-    Hit/miss/invalidation counters feed the perf benchmarks; the cache
+    Hit/miss/invalidation counters feed the repo benchmark; the cache
     never affects which entry a lookup returns, so virtual-time results
     and flow counters are identical with or without it.
     """

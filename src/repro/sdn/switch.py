@@ -248,11 +248,8 @@ class SoftwareSwitch:
         self.table_misses = 0
         self.group_misses = 0
         self.meter_drops = 0
-        #: Batch-forwarding telemetry: fused trains accepted and the
-        #: frames they forwarded (train_frames / packets_forwarded is
-        #: the fast-path fraction the perf gates hold ≥ 0.95 on fig8).
+        #: Batch-forwarding telemetry: fused trains accepted.
         self.trains = 0
-        self.train_frames = 0
         #: Set by the controller when it connects; receives event Messages.
         #: With named channels registered this is a derived pointer to the
         #: live master channel's deliver callback (or None in blackout).
@@ -860,7 +857,6 @@ class SoftwareSwitch:
         self._busy_until = busy
         self.packets_forwarded += forwarded
         self.packets_dropped += dropped
-        self.train_frames += forwarded
 
     def _run_actions(
         self,

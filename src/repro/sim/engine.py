@@ -363,7 +363,7 @@ class Engine:
         # Width-retune observation window (advances with the calendar).
         self._events_at_retune = 0
         self._time_at_retune = 0.0
-        # Instrumentation (surfaced by ``repro bench --perf``).
+        # Instrumentation (surfaced by :meth:`stats`).
         self.stat_events = 0          # callbacks executed
         self.stat_heap_pushes = 0     # slot-heap + overflow-heap pushes
         self.stat_heap_pops = 0       # slot-heap + overflow-heap pops

@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface."""
 
 import io
+import json
 
 import pytest
 
@@ -58,22 +59,11 @@ def test_wordcount_storm_runs():
     assert "system: storm" in text
 
 
-def test_bench_requires_perf_flag():
-    code, text = run_cli(["bench"])
-    assert code == 2
-    assert "--perf" in text
-
-
-def test_bench_perf_micro_runs_and_writes_json(tmp_path):
-    report = tmp_path / "hotpath.json"
-    code, text = run_cli(["bench", "--perf", "--no-e2e",
-                          "--iterations", "2000",
-                          "--output", str(report)])
+def test_bench_runs_sched_benchmark_and_writes_json(tmp_path):
+    report = tmp_path / "sched.json"
+    code, text = run_cli(["bench", "--seed", "0", "--output", str(report)])
     assert code == 0
-    assert "table_lookup" in text
-    assert "combined" in text
-    import json
-    data = json.loads(report.read_text())
-    assert data["benchmark"] == "hotpath"
-    assert set(data["ops"]) == {"table_lookup", "encode", "decode"}
-    assert data["ops"]["table_lookup"]["cache_hit_rate"] > 0.95
+    assert "GATE FAIL" not in text
+    comparison = json.loads(report.read_text())["comparison"]
+    assert comparison["throughput_ratio"] >= 1.0
+    assert comparison["p99_ratio"] <= 1.0

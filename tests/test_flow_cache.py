@@ -10,14 +10,22 @@ an uncached table would produce.
 
 import pytest
 
+from repro.bench.legacy import LegacyFlowTable
 from repro.core import TyphoonCluster
 from repro.core.apps import CollectingDebugBolt, LiveDebugger
-from repro.net import BROADCAST, TYPHOON_ETHERTYPE, EthernetFrame, WorkerAddress
+from repro.net import (
+    BROADCAST,
+    CONTROLLER_ADDRESS,
+    TYPHOON_ETHERTYPE,
+    EthernetFrame,
+    WorkerAddress,
+)
 from repro.sdn import (
     ADD,
     DELETE,
     DELETE_STRICT,
     GROUP_ALL,
+    OFPP_CONTROLLER,
     Bucket,
     FlowMod,
     FlowStatsRequest,
@@ -25,6 +33,7 @@ from repro.sdn import (
     GroupMod,
     Match,
     Output,
+    SetTunnelDst,
     SoftwareSwitch,
 )
 from repro.sdn.flow import FlowEntry, FlowTable
@@ -138,6 +147,93 @@ def test_cache_overflow_clears_and_recovers():
         assert table.lookup_cached(key_frame, i % 4) is entry
     assert len(table.cache) <= 8
     assert table.lookup_cached(frame(), 1) is entry
+
+
+# -- a Table-3 host rule set against the uncached reference table ----------------
+
+#: Workers on the host; worker ``wid`` sits on port ``TUNNEL_PORT + 1 + wid``.
+TABLE3_WORKERS = 12
+TUNNEL_PORT = 1
+
+
+def _table_entries():
+    """A representative Table-3 rule set for one fig8/fig9-style host:
+    local transfers between every worker pair (quadratic in collocated
+    workers, so a 12-worker host carries ~170 rules), remote-sender
+    rules, a one-to-many broadcast rule per source, controller taps, and
+    a pair of boosted-priority mirror rules (the live debugger's
+    signature)."""
+    workers = TABLE3_WORKERS
+    ports = {wid: TUNNEL_PORT + 1 + wid for wid in range(workers)}
+    entries = []
+    for src in range(workers):
+        src_port = ports[src]
+        for dst in range(workers):
+            if dst == src:
+                continue
+            entries.append(FlowEntry(
+                Match(in_port=src_port,
+                      dl_src=WorkerAddress(1, src),
+                      dl_dst=WorkerAddress(1, dst),
+                      ether_type=TYPHOON_ETHERTYPE),
+                (Output(ports[dst]),), priority=100))
+        entries.append(FlowEntry(
+            Match(in_port=src_port,
+                  dl_src=WorkerAddress(1, src),
+                  dl_dst=WorkerAddress(1, 1000 + src),
+                  ether_type=TYPHOON_ETHERTYPE),
+            (SetTunnelDst("peer-host"), Output(TUNNEL_PORT)), priority=100))
+        entries.append(FlowEntry(
+            Match(in_port=src_port, dl_dst=BROADCAST,
+                  ether_type=TYPHOON_ETHERTYPE),
+            tuple(Output(ports[dst]) for dst in range(workers) if dst != src),
+            priority=100))
+        entries.append(FlowEntry(
+            Match(in_port=src_port, dl_dst=CONTROLLER_ADDRESS,
+                  ether_type=TYPHOON_ETHERTYPE),
+            (Output(OFPP_CONTROLLER),), priority=100))
+    # Two live-debugger mirror rules at boosted priority.
+    for src in (0, 1):
+        entries.append(FlowEntry(
+            Match(in_port=ports[src],
+                  dl_src=WorkerAddress(1, src),
+                  dl_dst=WorkerAddress(1, (src + 1) % workers),
+                  ether_type=TYPHOON_ETHERTYPE),
+            (Output(ports[(src + 1) % workers]), Output(ports[workers - 1])),
+            priority=150))
+    return entries
+
+
+def _lookup_frames():
+    """The frame mix a fig8 steady state offers the table: a cycle over
+    the active (src, dst) pairs plus the occasional broadcast."""
+    workers = TABLE3_WORKERS
+    frames = [(frame(src=WorkerAddress(1, src),
+                     dst=WorkerAddress(1, (src + 1) % workers)),
+               TUNNEL_PORT + 1 + src) for src in range(workers)]
+    frames.append((frame(src=WorkerAddress(1, 0), dst=BROADCAST),
+                   TUNNEL_PORT + 1))
+    return frames
+
+
+def test_table3_cached_lookup_agrees_with_legacy_table():
+    """Cold and warm, every cached answer is the entry the linearly
+    scanned reference table picks, and repeated passes over the mix are
+    served from the cache."""
+    table = FlowTable()
+    legacy = LegacyFlowTable()
+    for entry in _table_entries():
+        table.add(entry)
+    for entry in _table_entries():  # fresh entries: ids differ, matches equal
+        legacy.add(entry)
+    frames = _lookup_frames()
+    for _ in range(100):
+        for packet, in_port in frames:
+            hit = table.lookup_cached(packet, in_port)
+            ref = legacy.lookup(packet, in_port)
+            assert hit is not None and ref is not None
+            assert (hit.match, hit.priority) == (ref.match, ref.priority)
+    assert table.cache.hit_rate >= 0.95
 
 
 # -- switch-level invalidation ----------------------------------------------------

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from repro.bench.legacy import legacy_decode_tuple, legacy_encode_tuple
-from repro.bench.perf import codec_corpus
+from repro.sim.rng import SeedFactory
 from repro.streaming.serialize import (
     SerializationError,
     decode_tuple,
@@ -153,6 +153,39 @@ def test_golden_matches_legacy_reference(name, stream_tuple, expected_hex):
     assert legacy_encode_tuple(stream_tuple).hex() == expected_hex
     assert legacy_decode_tuple(encode_tuple(stream_tuple)) \
         == decode_tuple(bytes.fromhex(expected_hex))
+
+
+def codec_corpus(seed=0):
+    """A fixed, seed-determined corpus covering every type tag, the
+    anchored and traced envelope variants, big ints and nesting — the
+    same mix GOLDEN locks down. The RNG stream name seeds every value:
+    renaming it yields a different corpus."""
+    rng = SeedFactory(seed).rng("bench.perf.codec")
+    corpus = []
+    words = ["the", "quick", "brown", "typhoon", "switch", "東京", "straße"]
+    for i in range(64):
+        kind = i % 4
+        if kind == 0:       # wordcount-style: (word, count)
+            values = (words[i % len(words)], rng.randrange(1, 100000))
+        elif kind == 1:     # yahoo-style: dict event
+            values = ({"ad_id": rng.randrange(10 ** 9),
+                       "event": "view" if i % 2 else "click",
+                       "ts": rng.random() * 100.0,
+                       "tags": [words[i % len(words)], None, True]},)
+        elif kind == 2:     # binary payload + bigint ack id
+            values = (bytes(rng.randrange(256) for _ in range(32)),
+                      2 ** 64 + rng.randrange(2 ** 32),
+                      -(2 ** 70 + i), False)
+        else:               # mixed flat tuple
+            values = (None, True, False, rng.randrange(-2 ** 40, 2 ** 40),
+                      rng.random(), words[i % len(words)] * (i % 7),
+                      [1, "two", [3.5, None]])
+        anchor = Anchor(rng.getrandbits(64), rng.getrandbits(32)) \
+            if i % 3 == 0 else None
+        trace_id = rng.getrandbits(63) if i % 5 == 0 else None
+        corpus.append(StreamTuple(values, stream=i % 7, source_worker=i,
+                                  anchor=anchor, trace_id=trace_id))
+    return corpus
 
 
 def test_randomized_corpus_matches_legacy():
