@@ -308,6 +308,7 @@ class TyphoonTransport(Transport):
             on_discard_data=self._on_reassembly_discard,
         )
         self.closed = False
+        self.on_queue = None
         self.tuples_sent = 0
         self.serializations = 0
         self.frames_sent = 0
@@ -469,6 +470,8 @@ class TyphoonTransport(Transport):
             if buffer.tuples >= batch_size:
                 dcost += self._flush_address(address)
             cost += dcost
+        if self.on_queue is not None:
+            self._fire_on_queue()
         return cost
 
     def send_many(self, stream_tuples: Sequence[StreamTuple],
@@ -631,6 +634,8 @@ class TyphoonTransport(Transport):
         self.serializations += sent
         if self.ledger is not None:
             self.ledger.record_sent(self.app_id, sent)
+        if self.on_queue is not None:
+            self._fire_on_queue()
         return cost
 
     def send_broadcast(self, stream_tuple: StreamTuple,
@@ -687,6 +692,8 @@ class TyphoonTransport(Transport):
             enqueue_cost += self._flush_address(CONTROLLER_ADDRESS)
         cost += enqueue_cost
         cost += self._flush_address(CONTROLLER_ADDRESS)
+        if self.on_queue is not None:
+            self._fire_on_queue()
         return cost
 
     def flush(self) -> float:
@@ -704,8 +711,9 @@ class TyphoonTransport(Transport):
             return cost
         if self.port_no is None:
             # Live but not (yet) attached to a switch port: hold the
-            # batches — the periodic flusher retries after attach. Only
-            # a closed transport may discard.
+            # batches — the flusher keeps ticking while anything is
+            # held and retries after attach. Only a closed transport
+            # may discard.
             return 0.0
         cost = 0.0
         for address, buffer in self._buffers.items():

@@ -98,6 +98,13 @@ class CostModel:
     ack_per_tuple: float = 0.35 * US           # XOR ledger update in acker
     ack_message_bytes: int = 40
 
+    def __post_init__(self) -> None:
+        # Idle flushers re-arm one interval after their last tick; a
+        # non-positive interval would re-arm at the same instant forever.
+        if not self.batch_flush_interval > 0:
+            raise ValueError("batch_flush_interval must be > 0, got %r"
+                             % self.batch_flush_interval)
+
     def scaled(self, **overrides: float) -> "CostModel":
         """Return a copy with the given fields replaced."""
         return replace(self, **overrides)

@@ -496,6 +496,17 @@ class Engine:
             raise ValueError("delay must be >= 0, got %r" % delay)
         self._push_entry(self.now + delay, callback, args)
 
+    def schedule_at(self, when: float, callback: Callable[..., None],
+                    *args: Any) -> None:
+        """Run ``callback(*args)`` at virtual time ``when`` exactly.
+
+        The absolute twin of :meth:`schedule`: ``now + (when - now)`` can
+        miss ``when`` by an ulp, which matters to a caller replaying a
+        float grid. Same-instant entries stay FIFO by scheduling order."""
+        if when < self.now:
+            raise ValueError("time %r is before now (%r)" % (when, self.now))
+        self._push_entry(when, callback, args)
+
     def timeout(self, delay: float) -> Timer:
         """Return an event that fires after ``delay`` virtual seconds."""
         return Timer(self, delay)

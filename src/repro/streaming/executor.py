@@ -21,6 +21,7 @@ precisely the flexibility gap the paper highlights.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..sim.costs import CostModel
@@ -1553,17 +1554,40 @@ class WorkerExecutor:
     # -- auxiliary processes ---------------------------------------------------------------
 
     def _flusher(self):
+        """Flush partial batches every ``batch_flush_interval``. With
+        nothing buffered a tick would flush nothing, so the flusher
+        parks instead until the transport's next send (DESIGN.md §5f)."""
+        engine = self.engine
+        transport = self.transport
+        interval = self.costs.batch_flush_interval
         while True:
             try:
-                yield self.costs.batch_flush_interval
+                if transport.pending_tuples():
+                    yield interval
+                else:
+                    due = engine.event()
+                    transport.on_queue = partial(
+                        self._rejoin_grid, due, engine.now + interval)
+                    yield due
             except Interrupt:
                 return
-            cost = self.transport.flush()
+            cost = transport.flush()
             if cost > 0:
                 try:
                     yield cost
                 except Interrupt:
                     return
+
+    def _rejoin_grid(self, due: Event, tick: float) -> None:
+        """Wake a parked flusher at the first tick at or after now. Each
+        tick is one ``tick + interval`` float addition after the last,
+        the instants an unparked flusher reaches, so parking moves no
+        flush. A tuple queued at a tick's instant leaves at that tick."""
+        engine = self.engine
+        interval = self.costs.batch_flush_interval
+        while tick < engine.now:
+            tick += interval
+        engine.schedule_at(tick, due.succeed)
 
     def _oom_monitor(self):
         while True:

@@ -115,6 +115,7 @@ class StormTransport(Transport):
         self.serializations = 0
         self.dropped_after_close = 0
         self.closed = False
+        self.on_queue = None
 
     # -- outbound ---------------------------------------------------------
 
@@ -137,6 +138,8 @@ class StormTransport(Transport):
                 self.ledger.record_sent(self.scope)
             if len(buffer) >= self.batch_size:
                 cost += self._flush_destination(dst)
+        if self.on_queue is not None:
+            self._fire_on_queue()
         return cost
 
     def send_broadcast(self, stream_tuple: StreamTuple,

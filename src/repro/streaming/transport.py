@@ -27,7 +27,7 @@ observability features.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 from .tuples import StreamTuple
 
@@ -88,7 +88,19 @@ class Transport:
     ``sent + injected + replicated == delivered + controller_delivered +
     drops + buffered + pending_reassembly`` is then checked by
     :func:`repro.core.audit.verify_conservation` after each run.
+
+    Wake-up contract: the executor's flusher parks while nothing is
+    buffered and arms :attr:`on_queue`; a transport that buffers must
+    fire it (once, clearing it first) from every send primitive that
+    queues a tuple, so the flusher can rejoin its tick grid.
     """
+
+    #: One-shot callback armed by a parked flusher.
+    on_queue: Optional[Callable[[], None]] = None
+
+    def _fire_on_queue(self) -> None:
+        wake, self.on_queue = self.on_queue, None
+        wake()
 
     def send(self, stream_tuple: StreamTuple, dst_worker_ids: Sequence[int]) -> float:
         """Route one tuple to explicit destinations; returns CPU cost.

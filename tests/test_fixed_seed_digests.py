@@ -52,6 +52,11 @@ COMMANDS: Dict[str, List[str]] = {
     "chaos-acked": ["chaos", "--seed", "0", "--acked"],
     "chaos-exactly-once": ["chaos", "--seed", "0", "--exactly-once"],
     "chaos-ha": ["chaos", "--seed", "0", "--ha"],
+    "trace-seed1": ["trace", "--seed", "1"],
+    "chaos-seed1": ["chaos", "--seed", "1", "--system", "both"],
+    "chaos-acked-seed1": ["chaos", "--seed", "1", "--acked"],
+    "chaos-exactly-once-seed1": ["chaos", "--seed", "1", "--exactly-once"],
+    "chaos-ha-seed1": ["chaos", "--seed", "1", "--ha"],
 }
 
 TRANSPORT_COUNTERS = ("tuples_sent", "serializations", "frames_sent",

@@ -33,6 +33,34 @@ def test_negative_delay_rejected(engine):
         engine.schedule(-0.1, lambda: None)
 
 
+def test_schedule_at_fires_at_the_exact_time(engine):
+    engine.run(until=0.2)
+    fired = []
+    engine.schedule_at(0.9, lambda: fired.append(("at", engine.now)))
+    engine.schedule(0.9 - 0.2, lambda: fired.append(("delay", engine.now)))
+    engine.run()
+    # now + (when - now) misses 0.9 by an ulp; schedule_at does not.
+    assert fired == [("delay", 0.8999999999999999), ("at", 0.9)]
+
+
+def test_schedule_at_rejects_a_past_time(engine):
+    engine.run(until=1.0)
+    with pytest.raises(ValueError):
+        engine.schedule_at(0.999, lambda: None)
+
+
+def test_schedule_at_keeps_fifo_with_schedule(engine):
+    engine.run(until=1.0)
+    order = []
+    engine.schedule(0.0, order.append, "a")
+    engine.schedule_at(1.0, order.append, "b")
+    engine.schedule(0.0, order.append, "c")
+    engine.schedule_at(1.0, order.append, "d")
+    engine.run()
+    assert order == ["a", "b", "c", "d"]
+    assert engine.now == 1.0
+
+
 def test_run_until_stops_clock_exactly(engine):
     engine.schedule(5.0, lambda: None)
     engine.run(until=2.5)

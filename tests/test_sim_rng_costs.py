@@ -54,6 +54,16 @@ def test_cost_model_all_costs_nonnegative():
             assert value >= 0, field.name
 
 
+@pytest.mark.parametrize("interval", [0.0, -1e-3, float("nan")])
+def test_non_positive_flush_interval_rejected(interval):
+    # Zero would re-arm every flusher at one instant forever; a negative
+    # interval would schedule flushes in the past.
+    with pytest.raises(ValueError):
+        DEFAULT_COSTS.scaled(batch_flush_interval=interval)
+    with pytest.raises(ValueError):
+        CostModel(batch_flush_interval=interval)
+
+
 def test_transmission_delay_local_vs_remote():
     local = transmission_delay(DEFAULT_COSTS, 1000, remote=False)
     remote = transmission_delay(DEFAULT_COSTS, 1000, remote=True)
