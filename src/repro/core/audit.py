@@ -5,7 +5,7 @@ from every layer without cycles); this module contributes the pieces
 that need to understand Typhoon frames and clusters:
 
 * :func:`typhoon_frame_tuples` — the ledger ``inspector`` that maps an
-  Ethernet frame (or packed tunnel bytes) to ``(scope, tuple_count)``;
+  Ethernet frame to ``(scope, tuple_count)``;
 * :func:`conservation_report` — snapshot the conservation identity for
   a cluster (Typhoon or the Storm baseline — both expose ``ledger`` and
   ``transports``);
@@ -46,13 +46,9 @@ __all__ = [
 def typhoon_frame_tuples(frame: object) -> Optional[Tuple[int, int]]:
     """Ledger inspector: ``(scope, tuple_count)`` for a Typhoon frame.
 
-    Accepts :class:`EthernetFrame` objects or packed frame bytes (the
-    form tunnels carry). Control frames name the controller/broadcast
-    pseudo-application in ``src``; their tuples belong to the
-    destination's application.
+    Control frames name the controller/broadcast pseudo-application in
+    ``src``; their tuples belong to the destination's application.
     """
-    if isinstance(frame, (bytes, bytearray)):
-        frame = EthernetFrame.unpack(bytes(frame))
     if not isinstance(frame, EthernetFrame):
         return None
     if frame.src.is_controller or frame.src.is_broadcast:

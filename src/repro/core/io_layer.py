@@ -108,10 +108,24 @@ class HostFabric:
         if tracer is not None:
             tracer.frame_event(frame, H_TUNNEL_TX, src=self.hostname,
                                peer=tun_dst)
-        tunnel.send_from(self.hostname, frame.pack())
+        # The tunnel carries the frame object: its len() is the packed
+        # length, so channel bytes, delays and drops are unchanged.
+        tunnel.send_from(self.hostname, frame)
 
-    def receive_from_tunnel(self, data: bytes) -> None:
-        frame = EthernetFrame.unpack(data)
+    def receive_from_tunnel(self, frame: EthernetFrame) -> None:
+        annotated = frame.tuples
+        if annotated is not None:
+            # Remote view of the sender's fast-lane annotation: claimed,
+            # so every receiver here clones instead of adopting objects
+            # a receiver on the sending host may hold, and no stream
+            # hint, so the delivery matches what a decode would build.
+            view = _TrainAnnotation(annotated.objs, annotated.rlens, None,
+                                    annotated.start, annotated.end,
+                                    annotated.est, False)
+            view.claimed = True
+            frame = EthernetFrame(dst=frame.dst, src=frame.src,
+                                  ethertype=frame.ethertype,
+                                  payload=frame.payload, tuples=view)
         tracer = self._live_tracer()
         if tracer is not None:
             tracer.frame_event(frame, H_TUNNEL_RX, host=self.hostname)
@@ -179,7 +193,8 @@ class _TrainAnnotation:
     otherwise each object is tested and the unreleased ones cloned.
     ``claimed`` arms after that first delivery: replicated frames
     (broadcast rules, debug mirrors) share one annotation through
-    ``EthernetFrame.with_dst``, and every later delivery clones. ``est``
+    ``EthernetFrame.with_dst``, and every later delivery clones, as do
+    receivers behind a host tunnel (a claimed remote view). ``est``
     is the window's store-sizer charge when the encoder precomputed it
     (an exact integer — see ``ests`` in
     :func:`repro.streaming.serialize.encode_train`), else ``None``."""

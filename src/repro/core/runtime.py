@@ -45,7 +45,7 @@ from ..streaming.physical import PhysicalTopology, WorkerAssignment
 from ..sim.audit import DeliveryLedger
 from ..sim.trace import Tracer
 from ..streaming.storm import _with_ackers, build_routers
-from ..streaming.topology import LogicalTopology
+from ..streaming.topology import ALL, LogicalTopology, TopologyError
 from . import control as ct
 from .audit import typhoon_frame_tuples
 from .tracing import frame_trace_ids
@@ -55,6 +55,26 @@ from .framework_layer import handle_control_tuple
 from .io_layer import TyphoonFabric, TyphoonTransport
 from .scheduler import TyphoonScheduler
 from .topology_manager import DynamicTopologyManager
+
+
+def _check_one_broadcast_target(logical: LogicalTopology) -> None:
+    """Reject a component that broadcasts to more than one component.
+
+    The controller installs one one-to-many rule per source port over
+    the union of its ALL-grouped destinations, but the executor sends
+    one broadcast per edge, so each target would receive every tuple
+    once per edge (replicated bolts count: their inputs are ALL edges).
+    """
+    targets: Dict[str, Dict[str, None]] = {}
+    for edge in logical.edges:
+        if edge.grouping.kind == ALL:
+            targets.setdefault(edge.src, {})[edge.dst] = None
+    for src, dsts in targets.items():
+        if len(dsts) > 1:
+            raise TopologyError(
+                "%r broadcasts to %d components (%s); Typhoon supports "
+                "one ALL-grouped or replicated target per source"
+                % (src, len(dsts), ", ".join(dsts)))
 
 
 class TyphoonManager(StreamingManager):
@@ -184,6 +204,7 @@ class TyphoonCluster:
     def submit(self, logical: LogicalTopology) -> PhysicalTopology:
         """Deploy a topology (steps i–v of §3.2)."""
         logical = expand_replicas(logical)
+        _check_one_broadcast_target(logical)
         logical = _with_ackers(logical)
         physical = self.manager.submit(logical)
         self.ledger.name_scope(physical.app_id, logical.topology_id)

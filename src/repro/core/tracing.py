@@ -6,8 +6,7 @@ module contributes the pieces that understand Typhoon frames and
 clusters:
 
 * :func:`frame_trace_ids` — the tracer ``frame_inspector`` that maps an
-  Ethernet frame (or packed tunnel bytes) to the trace ids of sampled
-  tuples it carries;
+  Ethernet frame to the trace ids of sampled tuples it carries;
 * :func:`trace_snapshot` — JSON-shaped view for ``GET /trace``;
 * :func:`run_forwarding_trace` — the Fig. 8 forwarding workload with
   tracing enabled, behind ``repro trace``.
@@ -39,19 +38,16 @@ __all__ = [
 def frame_trace_ids(frame: object) -> Tuple[int, ...]:
     """Tracer inspector: trace ids of sampled tuples inside a frame.
 
-    Accepts :class:`EthernetFrame` objects or packed frame bytes (the
-    form tunnels carry). A fragment contributes its id only on the head
-    chunk; trailing fragments are anonymous, like in the audit layer.
+    A fragment contributes its id only on the head chunk; trailing
+    fragments are anonymous, like in the audit layer.
     """
-    if isinstance(frame, (bytes, bytearray)):
-        frame = EthernetFrame.unpack(bytes(frame))
     if not isinstance(frame, EthernetFrame):
         return ()
     decoded = unpack_payload(frame.payload)
     if isinstance(decoded, Fragment):
         if decoded.offset != 0:
             return ()
-        trace_id = peek_trace_id(decoded.data)
+        trace_id = peek_trace_id(decoded.chunk)
         return (trace_id,) if trace_id is not None else ()
     ids = []
     for chunk in decoded:

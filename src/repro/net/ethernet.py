@@ -1,9 +1,11 @@
 """Byte-accurate Ethernet framing for Typhoon transport packets (Fig. 5).
 
-Frames are real byte strings packed with :mod:`struct`; the switch,
-tunnels and worker I/O layers all operate on these bytes, so multiplexing,
+Frame payloads are real byte strings packed with :mod:`struct`, and the
+switch and worker I/O layers operate on these bytes, so multiplexing,
 segmentation and broadcast replication are exercised end-to-end rather
-than hand-waved.
+than hand-waved. Host tunnels carry the frame objects themselves,
+sized by ``len()``, which equals the packed length; the payload bytes
+stay authoritative.
 """
 
 from __future__ import annotations
@@ -36,13 +38,14 @@ class EthernetFrame:
     src: WorkerAddress
     ethertype: int
     payload: bytes
-    #: Same-process delivery annotation: the (StreamTuple, encoded_len)
-    #: pairs multiplexed into ``payload``, attached by the sending I/O
-    #: layer when every tuple is reconstructible without decoding (all
-    #: scalar values). Purely an in-memory shortcut — the payload bytes
-    #: stay authoritative, ``pack()`` ignores it, ``unpack()`` never
-    #: restores it (so frames crossing a host tunnel decode for real),
-    #: and it is excluded from equality/repr.
+    #: Fast-lane delivery annotation: the sender's tuples multiplexed
+    #: into ``payload`` and their encoded lengths, attached by the
+    #: sending I/O layer when every tuple is reconstructible without
+    #: decoding (all scalar values). Purely an in-memory shortcut: the
+    #: payload bytes stay authoritative, ``pack()`` ignores it,
+    #: ``unpack()`` never restores it, and it is excluded from
+    #: equality/repr. A frame crossing a host tunnel keeps it, wrapped
+    #: in a remote view by the receiving fabric.
     tuples: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:

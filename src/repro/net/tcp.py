@@ -9,6 +9,12 @@ Two uses in this system, matching the paper:
   compute hosts; tunnels reliably carry custom Ethernet frames across the
   physical network and hide the custom EtherType from it (§3.3.1).
 
+A channel carries any message whose ``len()`` is its wire size: the
+Storm baseline sends ``_WireBatch`` objects, Typhoon sends
+:class:`~repro.net.ethernet.EthernetFrame` objects. Byte counts and
+transmission delays read only that size; a dropped message goes to the
+ledger and tracer inspectors as is.
+
 The channel is reliable and strictly FIFO: message ``i`` is always
 delivered before message ``i+1`` even when size-dependent transmission
 delays would reorder them.
@@ -16,7 +22,7 @@ delays would reorder them.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sized
 
 from ..sim.audit import (
     LAYER_CHANNEL,
@@ -36,17 +42,18 @@ class ChannelClosed(RuntimeError):
 class TcpChannel:
     """A unidirectional reliable, ordered message channel.
 
-    ``send(data)`` schedules ``on_receive(data)`` on the destination after
-    propagation + transmission delay. CPU costs (syscalls, copies) are the
-    caller's responsibility — they differ between Storm and Typhoon and are
-    charged in the respective transport layers.
+    ``send(message)`` schedules ``on_receive(message)`` on the
+    destination after propagation + transmission delay. CPU costs
+    (syscalls, copies) are the caller's responsibility — they differ
+    between Storm and Typhoon and are charged in the respective transport
+    layers.
     """
 
     def __init__(
         self,
         engine: Engine,
         costs: CostModel,
-        on_receive: Callable[[bytes], None],
+        on_receive: Callable[[Sized], None],
         remote: bool,
         name: str = "",
         extra_delay: float = 0.0,
@@ -84,9 +91,9 @@ class TcpChannel:
         self.loss_rate = 0.0
         self.loss_rng = None
         self.chaos_delay = 0.0
-        self._backlog: List[bytes] = []
+        self._backlog: List[Sized] = []
 
-    def send(self, data: bytes) -> None:
+    def send(self, data: Sized) -> None:
         if self.closed:
             raise ChannelClosed("channel %s is closed" % self.name)
         self.messages_sent += 1
@@ -105,7 +112,7 @@ class TcpChannel:
             return
         self._schedule_delivery(data)
 
-    def _schedule_delivery(self, data: bytes) -> None:
+    def _schedule_delivery(self, data: Sized) -> None:
         if self.serialize and self.remote:
             # The link is a shared serial resource: this message starts
             # transmitting when the previous one finishes.
@@ -132,7 +139,7 @@ class TcpChannel:
             for data in backlog:
                 self._schedule_delivery(data)
 
-    def _deliver(self, data: bytes) -> None:
+    def _deliver(self, data: Sized) -> None:
         if self.closed:
             # In-flight data on a torn-down connection: account it so
             # the tuples it carried don't silently vanish.
@@ -173,8 +180,8 @@ class TcpTunnel:
         costs: CostModel,
         host_a: str,
         host_b: str,
-        deliver_to_a: Callable[[bytes], None],
-        deliver_to_b: Callable[[bytes], None],
+        deliver_to_a: Callable[[Sized], None],
+        deliver_to_b: Callable[[Sized], None],
         ledger: Optional[DeliveryLedger] = None,
         tracer: Optional[Tracer] = None,
     ):
@@ -193,7 +200,7 @@ class TcpTunnel:
             ledger=ledger, tracer=tracer,
         )
 
-    def send_from(self, host: str, data: bytes) -> None:
+    def send_from(self, host: str, data: Sized) -> None:
         if host == self.host_a:
             self._a_to_b.send(data)
         elif host == self.host_b:

@@ -510,14 +510,16 @@ class Tracer:
     # -- frame-level hooks -------------------------------------------------
 
     def frame_ids(self, frame: object) -> Tuple[int, ...]:
-        """Trace ids carried by an opaque frame (or packed frame bytes),
-        restricted to ids with a live trace. Cheap when nothing is being
-        traced; needs the runtime-installed inspector otherwise."""
+        """Trace ids carried by an opaque frame, restricted to ids with
+        a live trace. Cheap when nothing is being traced; needs the
+        runtime-installed inspector otherwise. A malformed frame (the
+        packet, frame and codec errors are all ``ValueError``s) carries
+        no ids; any other inspector error is a bug and propagates."""
         if not self.traces or self.frame_inspector is None:
             return ()
         try:
             ids = self.frame_inspector(frame)
-        except Exception:
+        except ValueError:
             return ()
         return tuple(i for i in ids if i in self.traces)
 

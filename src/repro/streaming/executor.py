@@ -1152,14 +1152,16 @@ class WorkerExecutor:
             for key, router in edges:
                 if router.is_broadcast:
                     group = router.replication_group
+                    out = stream_tuple
                     if group is not None:
                         # The sequencer: one stamp, one serialization;
                         # the switch replicates the frame to every
-                        # replica (GroupMod fan-out).
-                        stream_tuple.seq = group.stamp_input(stream_tuple)
-                    cost += transport.send_broadcast(
-                        stream_tuple, router.next_hops
-                    )
+                        # replica (GroupMod fan-out). It stamps, logs
+                        # and sends a copy, because other edges may
+                        # have queued the original for the fast lane.
+                        out = stream_tuple.with_values(stream_tuple.values)
+                        out.seq = group.stamp_input(out)
+                    cost += transport.send_broadcast(out, router.next_hops)
                 elif router.is_sdn_offloaded:
                     cost += transport.send_offloaded(
                         stream_tuple, key, router.next_hops

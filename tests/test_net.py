@@ -71,6 +71,8 @@ def test_frame_pack_unpack_roundtrip():
 def test_frame_payload_roundtrip_property(payload):
     frame = EthernetFrame(BROADCAST, WorkerAddress(9, 9), 0x0800, payload)
     assert EthernetFrame.unpack(frame.pack()).payload == payload
+    # Tunnels size the frame object by len(): it must be the wire size.
+    assert len(frame) == len(frame.pack())
 
 
 def test_frame_too_short_rejected():

@@ -62,6 +62,20 @@ def test_per_destination_serialization_counts():
     assert transport.serializations == 400
 
 
+def test_broadcast_to_two_components_delivers_once_per_sink():
+    engine = Engine()
+    cluster = StormCluster(engine, num_hosts=2)
+    builder = TopologyBuilder("fanout", TopologyConfig())
+    builder.set_spout("source", lambda: CountingSpout(100), 1)
+    builder.set_bolt("x", RecordingBolt, 2).all_grouping("source")
+    builder.set_bolt("y", RecordingBolt, 2).all_grouping("source")
+    cluster.submit(builder.build())
+    engine.run(until=10.0)
+    sinks = (cluster.executors_for("fanout", "x")
+             + cluster.executors_for("fanout", "y"))
+    assert [sink.stats.processed for sink in sinks] == [100] * 4
+
+
 def test_acking_completes_all_roots():
     config = TopologyConfig(acking=True, num_ackers=1)
     engine = Engine()

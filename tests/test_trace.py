@@ -19,8 +19,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.rest import RestApi
-from repro.core.tracing import run_forwarding_trace, trace_snapshot
-from repro.net.addresses import BROADCAST, CONTROLLER_ADDRESS, WorkerAddress
+from repro.core.packets import pack_tuples
+from repro.core.tracing import (
+    frame_trace_ids,
+    run_forwarding_trace,
+    trace_snapshot,
+)
+from repro.net.addresses import (
+    BROADCAST,
+    CONTROLLER_ADDRESS,
+    TYPHOON_ETHERTYPE,
+    WorkerAddress,
+)
+from repro.net.ethernet import EthernetFrame
 from repro.sim import Engine
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.trace import (
@@ -122,6 +133,59 @@ def test_peek_trace_id_tolerates_truncation():
     for cut in range(0, min(len(data), 16)):
         assert peek_trace_id(data[:cut]) in (None, 99)
     assert peek_trace_id(b"") is None
+
+
+def _frames_of(stream_tuple, mtu=1500):
+    payloads, _ = pack_tuples([encode_tuple(stream_tuple)], mtu=mtu)
+    return [EthernetFrame(dst=WorkerAddress(1, 2), src=WorkerAddress(1, 1),
+                          ethertype=TYPHOON_ETHERTYPE, payload=payload)
+            for payload in payloads]
+
+
+def test_fragmented_tuple_trace_id_rides_the_head_fragment():
+    head, *trailing = _frames_of(StreamTuple(("x" * 4000,), trace_id=42))
+    assert trailing
+    assert frame_trace_ids(head) == (42,)
+    assert [frame_trace_ids(frame) for frame in trailing] \
+        == [()] * len(trailing)
+
+
+def test_inspector_bug_propagates_and_malformed_frame_has_no_ids():
+    def buggy(_frame):
+        raise AttributeError("inspector bug")
+
+    def malformed(_frame):
+        raise ValueError("malformed frame")
+
+    tracer = Tracer(Engine(), sample_every=1, frame_inspector=buggy)
+    tracer.maybe_trace(fresh_tuple())
+    with pytest.raises(AttributeError):
+        tracer.frame_ids(object())
+    tracer.frame_inspector = malformed
+    assert tracer.frame_ids(object()) == ()
+
+
+def test_fragmented_sampled_tuples_keep_network_checkpoints():
+    from repro.core.audit import quiesce
+    from repro.core.runtime import TyphoonCluster
+    from repro.streaming.topology import TopologyConfig
+    from repro.workloads.wordcount import forwarding_topology
+
+    engine = Engine()
+    cluster = TyphoonCluster(engine, num_hosts=2, seed=0)
+    cluster.tracer.configure(1)
+    config = TopologyConfig(batch_size=10, max_spout_rate=200.0,
+                            acking=False)
+    cluster.submit(forwarding_topology("big", config, payload="x" * 20_000))
+    engine.run(until=2.3)
+    quiesce(cluster, settle=1.0)
+    data = [trace for trace in cluster.tracer.traces.values()
+            if trace.kind == KIND_DATA]
+    assert data and all(trace.delivered_branches for trace in data)
+    for trace in data:
+        hops = Counter(event.hop for event in trace.events)
+        assert hops[H_TUNNEL_TX] == hops[H_TUNNEL_RX] == 1
+        assert hops[H_SWITCH] == 2
 
 
 # -- trace bookkeeping -------------------------------------------------------
@@ -461,6 +525,14 @@ def test_lost_tuples_terminate_with_ledger_reason(traced_with_faults):
         drop_event = next(e for e in trace.events if e.hop == H_DROP)
         assert (drop_event.meta["layer"],
                 drop_event.meta["reason"]) in ledger_drops
+    # A unicast frame lost in the tunnel ends its trace on the
+    # destination's branch, as a switch drop does.
+    (sink_id,) = cluster.manager.topologies["fwd"].physical \
+        .worker_ids_for("sink")
+    for trace in dropped:
+        drop_event = next(e for e in trace.events if e.hop == H_DROP)
+        if drop_event.meta["layer"] == "channel":
+            assert drop_event.branch == sink_id
 
 
 def test_faulted_run_still_satisfies_hop_sum_identity(traced_with_faults):

@@ -10,7 +10,10 @@ from repro.streaming import (
     ACKER_COMPONENT,
     TopologyBuilder,
     TopologyConfig,
+    TopologyError,
 )
+from repro.workloads.chaosflow import ChaosSequenceSpout, RelayBolt
+from repro.workloads.replicated import ReplicatedCountBolt
 from tests.conftest import CountingSpout, ForwardingBolt, RecordingBolt, simple_chain
 
 
@@ -75,6 +78,34 @@ def test_broadcast_single_serialization():
     assert transport.serializations == 100
     sinks = cluster.executors_for("bc", "sink")
     assert [s.stats.processed for s in sinks] == [100, 100, 100, 100]
+
+
+def test_broadcast_to_two_components_is_rejected():
+    # One one-to-many rule per source port covers every ALL-grouped
+    # target, but the executor sends one broadcast per edge: each sink
+    # would process every tuple twice.
+    builder = TopologyBuilder("fanout", TopologyConfig())
+    builder.set_spout("source", lambda: CountingSpout(100), 1)
+    builder.set_bolt("x", RecordingBolt, 2).all_grouping("source")
+    builder.set_bolt("y", RecordingBolt, 2).all_grouping("source")
+    cluster = TyphoonCluster(Engine(), num_hosts=2)
+    with pytest.raises(TopologyError, match="'source'.*x, y"):
+        cluster.submit(builder.build())
+    assert cluster.manager.topologies == {}
+
+
+def test_two_replicated_bolts_on_one_stream_are_rejected():
+    # Replicated inputs become ALL edges: the same one-rule fan-out.
+    builder = TopologyBuilder("twogroups", TopologyConfig())
+    builder.set_spout("source", ChaosSequenceSpout, 1)
+    builder.set_bolt("relay", RelayBolt, 1).shuffle_grouping("source")
+    for name in ("r1", "r2"):
+        builder.set_bolt(name, ReplicatedCountBolt, stateful=True,
+                         replicas=2).global_grouping("relay")
+    cluster = TyphoonCluster(Engine(), num_hosts=2)
+    with pytest.raises(TopologyError, match="'relay'.*r1, r2"):
+        cluster.submit(builder.build())
+    assert cluster.manager.topologies == {}
 
 
 def test_acking_over_sdn_paths():
