@@ -12,14 +12,12 @@ the same rows/series the benchmark harness reports; ``wordcount`` runs
 the Fig. 2 pipeline end to end and prints a topology summary; ``audit``
 runs a scenario, quiesces the cluster and prints the per-layer tuple
 conservation table (exit status 1 if any tuple is unaccounted for);
-``chaos`` runs a seeded random fault scenario against the chaos workload
-and checks the chaos invariants (exit status 1 on any violation) —
-``--acked`` turns on the full reliability stack (acking, spout replay,
-checkpointing, reliable control) and additionally requires zero
-permanently-lost roots, while ``--exactly-once`` runs the actively
-replicated workload under targeted regimes (replica/leader kills,
-broadcast-link flap, controller outage) and requires zero lost and zero
-duplicate committed tuples;
+``chaos`` runs a seeded fault scenario and checks the chaos invariants
+(exit status 1 on any violation); at most one mode flag picks the
+regime: ``--acked`` (the full reliability stack, zero permanently-lost
+roots), ``--exactly-once`` (the actively replicated workload, zero lost
+and zero duplicate committed tuples) or ``--ha`` (a replicated control
+plane, four more HA invariants);
 ``trace`` runs the Fig. 8 forwarding workload with hop-by-hop tracing
 enabled and prints the per-hop latency breakdown, verifying that every
 sampled tuple's hop segments sum exactly to the end-to-end latency the
@@ -122,24 +120,30 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of injected faults")
     chaos.add_argument("--rate", type=float, default=1500.0,
                        help="tuples/second from the chaos source")
-    chaos.add_argument("--acked", action="store_true",
+    modes = chaos.add_mutually_exclusive_group()
+    modes.add_argument("--acked", dest="mode", action="store_const",
+                       const="acked",
                        help="enable the reliability stack (acking + replay "
                             "+ checkpointing + reliable control) and require "
                             "zero permanently-lost roots")
-    chaos.add_argument("--exactly-once", action="store_true",
+    modes.add_argument("--exactly-once", dest="mode", action="store_const",
+                       const="exactly-once",
                        help="run the actively-replicated workload under "
                             "targeted fault regimes (replica/leader kills, "
                             "broadcast flap, controller outage) and require "
                             "zero lost and zero duplicate committed tuples "
                             "(typhoon only)")
-    chaos.add_argument("--ha", action="store_true",
+    modes.add_argument("--ha", dest="mode", action="store_const",
+                       const="ha",
                        help="run with a replicated control plane (3 "
                             "controller instances, leader election) under "
-                            "targeted HA regimes — leader kill mid-update, "
-                            "successor kill, leader/store partition — and "
+                            "three fixed HA regimes (leader kill "
+                            "mid-update, successor kill, leader/store "
+                            "partition; --faults does not apply) and "
                             "require single-master convergence, zero rule "
                             "divergence, complete stale-master fencing and "
                             "bounded failover blackout (typhoon only)")
+    chaos.set_defaults(mode="best-effort")
 
     trace = commands.add_parser(
         "trace",
@@ -225,44 +229,21 @@ def cmd_audit(system: str, rate: float, duration: float, hosts: int,
 
 
 def cmd_chaos(system: str, seed: int, hosts: int, duration: float,
-              faults: int, rate: float, acked: bool = False,
-              exactly_once: bool = False, ha: bool = False,
+              faults: int, rate: float, mode: str = "best-effort",
               out=sys.stdout) -> int:
-    from .core.chaos import run_chaos, run_chaos_exactly_once, run_chaos_ha
+    from .core.chaos import regime_for, run_chaos
 
-    if ha:
-        if system != "typhoon":
-            out.write("--ha requires the typhoon runtime (the replicated "
-                      "control plane drives the SDN fabric)\n")
-            return 2
-        result = run_chaos_ha(seed=seed, hosts=hosts, duration=duration,
-                              rate=rate)
-        out.write(result.render())
-        out.write("\n")
-        return 0 if result.ok else 1
-    if exactly_once:
-        if system != "typhoon":
-            out.write("--exactly-once requires the typhoon runtime "
-                      "(active replication rides the SDN fabric)\n")
-            return 2
-        result = run_chaos_exactly_once(seed=seed, hosts=hosts,
-                                        duration=duration, faults=faults,
-                                        rate=rate)
-        out.write(result.render())
-        out.write("\n")
-        return 0 if result.ok else 1
     systems = ("typhoon", "storm") if system == "both" else (system,)
-    status = 0
-    for index, name in enumerate(systems):
-        if index:
-            out.write("\n")
-        result = run_chaos(name, seed=seed, hosts=hosts, duration=duration,
-                           faults=faults, rate=rate, acked=acked)
-        out.write(result.render())
-        out.write("\n")
-        if not result.ok:
-            status = 1
-    return status
+    try:
+        for name in systems:
+            regime_for(name, mode)
+    except ValueError as error:
+        out.write("%s\n" % error)
+        return 2
+    results = [run_chaos(name, seed, hosts, duration, faults, rate, mode)
+               for name in systems]
+    out.write("\n".join(result.render() + "\n" for result in results))
+    return 0 if all(result.ok for result in results) else 1
 
 
 def cmd_trace(seed: int, sample_every: int, rate: float, duration: float,
@@ -334,8 +315,7 @@ def main(argv: Optional[List[str]] = None, out=sys.stdout) -> int:
                          args.settle, args.seed, out)
     if args.command == "chaos":
         return cmd_chaos(args.system, args.seed, args.hosts, args.duration,
-                         args.faults, args.rate, args.acked,
-                         args.exactly_once, args.ha, out)
+                         args.faults, args.rate, args.mode, out)
     if args.command == "trace":
         return cmd_trace(args.seed, args.sample_every, args.rate,
                          args.duration, args.hosts, out)

@@ -25,27 +25,23 @@ randomized fault scenarios:
    admitted downstream exactly once, and every admitted output
    committed exactly once with zero conflicting retries.
 
-The harness runs in three regimes: best-effort (the default — loss is
-attributed but not repaired), ``acked=True``, which turns on the full
-reliability stack (acking + spout replay + checkpointing + the reliable
-control channel) and holds the run to the stricter §6.1 bar, and
-:func:`run_chaos_exactly_once`, which deploys the actively-replicated
-workload (:mod:`repro.workloads.replicated`) and drives targeted fault
-regimes — replica kill, leader kill mid-failover, broadcast-link flap,
-controller outage — against the replication invariant plus a strict
-zero-lost / zero-duplicate commitment check.
-
-:func:`run_chaos` wires a cluster + the chaos workload + a seeded
-:class:`~repro.sim.faults.ChaosSchedule` together and produces a fully
-deterministic :class:`ChaosRunResult`: the same seed renders the same
-report byte for byte, so scenarios are replayable and diffable.
+One runner, :func:`run_chaos`, drives four modes, each one row of
+:data:`REGIMES`: ``best-effort`` (the default: a seeded random
+:class:`~repro.sim.faults.ChaosSchedule`; loss is attributed, not
+repaired), ``acked`` (the same faults with the full reliability stack,
+held to zero permanently-lost roots), ``exactly-once`` (the
+actively-replicated workload under targeted regimes, held to zero lost
+and zero duplicate commits) and ``ha`` (a replicated control plane under
+three fixed regimes, held to four more invariants: single-master
+convergence, zero rule divergence, complete fencing, bounded blackout).
+The same seed renders the same :class:`ChaosRunResult` byte for byte.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..sim.audit import ConservationReport
 from ..sim.engine import Engine
@@ -442,17 +438,47 @@ class InvariantChecker:
 
 
 @dataclass
+class RegimeSpec:
+    """One planned targeted-regime instance (deterministic, renderable)."""
+
+    kind: str
+    when: float
+    detail: str
+    #: Width of the kind column in the rendered schedule.
+    width: int = 18
+
+    def describe(self) -> str:
+        return "%-*s t=%6.2f %s" % (self.width, self.kind, self.when,
+                                    self.detail)
+
+
+@dataclass
+class RegimeSchedule:
+    """Seeded targeted-regime schedule, shaped like
+    :class:`~repro.sim.faults.ChaosSchedule` (``specs`` + ``describe``)."""
+
+    title: str
+    seed: int
+    specs: List[RegimeSpec]
+
+    def describe(self) -> str:
+        lines = ["%s fault schedule seed=%d regimes=%d"
+                 % (self.title, self.seed, len(self.specs))]
+        lines.extend("  " + spec.describe() for spec in self.specs)
+        return "\n".join(lines)
+
+
+@dataclass
 class ChaosRunResult:
     """Everything one seeded chaos run produced, rendered reproducibly."""
 
     system: str
     seed: int
-    schedule: ChaosSchedule
+    mode: str
+    schedule: Union[ChaosSchedule, RegimeSchedule]
     plan: FaultPlan
     invariants: InvariantReport
-    acked: bool = False
-    exactly_once: bool = False
-    #: Replicated-control-plane summary (``repro chaos --ha`` runs only).
+    #: Replicated-control-plane summary (``ha`` mode only).
     ha: Optional[Dict[str, object]] = None
 
     @property
@@ -461,11 +487,9 @@ class ChaosRunResult:
 
     def render(self) -> str:
         header = ("chaos run system=%s seed=%d acked=%s"
-                  % (self.system, self.seed, self.acked))
-        if self.exactly_once:
-            header += " exactly-once=True"
-        if self.ha is not None:
-            header += " ha=True"
+                  % (self.system, self.seed, self.mode == "acked"))
+        if self.mode in ("exactly-once", "ha"):
+            header += " %s=True" % self.mode
         sections = [
             header,
             self.schedule.describe(),
@@ -517,8 +541,7 @@ class ChaosRunResult:
         payload.update({
             "system": self.system,
             "seed": self.seed,
-            "acked": self.acked,
-            "exactly_once": self.exactly_once,
+            "mode": self.mode,
             "specs": [spec.describe() for spec in self.schedule.specs],
             "faults_fired": list(self.plan.fired),
             "faults_clamped": list(self.plan.clamped),
@@ -529,72 +552,28 @@ class ChaosRunResult:
         return payload
 
 
-def run_chaos(system: str = "typhoon", seed: int = 0, hosts: int = 3,
-              duration: float = 16.0, faults: int = 6, rate: float = 1500.0,
-              warmup: float = 4.0, recovery: float = 5.0,
-              settle: float = 2.0, relays: int = 2,
-              sinks: int = 2, acked: bool = False) -> ChaosRunResult:
-    """One seeded chaos scenario end to end.
+#: Every mode warms up this long before its faults arm; the workloads run
+#: with these parallelisms.
+WARMUP = 4.0
+RELAYS = 2
+SINKS = 2
+REPLICAS = 3
 
-    Timeline: deploy the chaos workload, warm up, arm a seeded fault
-    schedule inside ``[warmup, duration - 2]`` (every durable fault ends
-    before the horizon), run to ``duration`` plus a recovery window that
-    covers the slowest repair (supervisor restart ≈ 3 s), then quiesce
-    and check the six invariants.
 
-    ``acked=True`` turns on the full reliability stack — acking + spout
-    replay + checkpointed sinks + the reliable control channel — puts
-    the dedup registry in its idempotent at-least-once mode, and holds
-    the run to the replay-conservation invariant: zero permanently-lost
-    roots once recovery settles.
-    """
-    if system not in ("typhoon", "storm"):
-        raise ValueError("system must be 'typhoon' or 'storm'")
-    engine = Engine()
-    if system == "typhoon":
-        cluster = TyphoonCluster(engine, num_hosts=hosts, seed=seed)
-        cluster.register_app(FaultDetector(cluster))
-        kinds = TYPHOON_KINDS
-    else:
-        cluster = StormCluster(engine, num_hosts=hosts, seed=seed)
-        kinds = STORM_KINDS
-    registry = DedupRegistry(at_least_once=acked)
-    cluster.services[DEDUP_SERVICE] = registry
-
-    if acked:
-        # Every replayed tuple needs time to drain through backoff plus
-        # a possible supervisor restart before the loss check is fair.
-        recovery = max(recovery, 8.0)
-        config = TopologyConfig(
-            batch_size=50, max_spout_rate=rate,
-            acking=True, num_ackers=1, tuple_timeout=2.0, max_pending=48,
-            replay_enabled=True, replay_max_retries=12,
-            replay_backoff_base=0.25, replay_backoff_factor=2.0,
-            replay_backoff_max=1.0,
-            checkpoint_interval=0.5, reliable_control=True)
-    else:
-        config = TopologyConfig(batch_size=50, max_spout_rate=rate)
-    physical = cluster.submit(chaos_topology("chaos", config, relays=relays,
-                                             sinks=sinks))
-    engine.run(until=warmup)
-
-    window = (warmup, max(warmup + 1.0, duration - 2.0))
+def _random_faults(cluster, physical, seed: int,
+                   window: Tuple[float, float],
+                   count: int) -> Tuple[ChaosSchedule, FaultPlan]:
+    """A seeded random mix of every fault kind the runtime supports."""
+    kinds = TYPHOON_KINDS if isinstance(cluster, TyphoonCluster) \
+        else STORM_KINDS
     schedule = ChaosSchedule(seed, kinds=kinds,
                              workers=sorted(physical.assignments),
                              hosts=sorted(cluster.manager.agents),
-                             window=window, count=faults)
-    plan = schedule.apply(cluster)
-    cluster.chaos_plan = plan
-
-    engine.run(until=duration + recovery)
-    invariants = InvariantChecker(cluster, settle=settle).run()
-    return ChaosRunResult(system=system, seed=seed, schedule=schedule,
-                          plan=plan, invariants=invariants, acked=acked)
+                             window=window, count=count)
+    return schedule, schedule.apply(cluster)
 
 
-# -- the exactly-once (replicated) chaos runner --------------------------------
-
-#: Fault regimes the exactly-once harness cycles through. Faults target
+#: Fault regimes the exactly-once mode cycles through. Faults target
 #: only the replica group, the links between its hosts, and the control
 #: plane — never spouts or relays: loss upstream of the sequencer is
 #: outside the exactly-once boundary (that is the replay stack's job).
@@ -602,46 +581,21 @@ EXACTLY_ONCE_REGIMES = ("replica-kill", "leader-kill", "broadcast-flap",
                         "controller-outage")
 
 
-@dataclass
-class ExactlyOnceSpec:
-    """One planned regime instance (deterministic, renderable)."""
-
-    kind: str
-    when: float
-    detail: str
-
-    def describe(self) -> str:
-        return "%-18s t=%6.2f %s" % (self.kind, self.when, self.detail)
-
-
-@dataclass
-class ExactlyOnceSchedule:
-    """Seeded regime schedule for the replicated workload — same shape
-    as :class:`~repro.sim.faults.ChaosSchedule` where the report
-    machinery cares (``specs`` + ``describe``)."""
-
-    seed: int
-    specs: List[ExactlyOnceSpec]
-
-    def describe(self) -> str:
-        lines = ["exactly-once fault schedule seed=%d regimes=%d"
-                 % (self.seed, len(self.specs))]
-        lines.extend("  " + spec.describe() for spec in self.specs)
-        return "\n".join(lines)
-
-
-def _exactly_once_faults(cluster, group, seed: int,
+def _exactly_once_faults(cluster, physical, seed: int,
                          window: Tuple[float, float],
-                         count: int) -> Tuple[ExactlyOnceSchedule, FaultPlan]:
-    """Build the targeted fault plan for one replica ``group``.
+                         count: int) -> Tuple[RegimeSchedule, FaultPlan]:
+    """The targeted fault plan against the workload's replica group.
 
     Kill victims are resolved *at fire time* (``FaultPlan.custom``):
     "the leader" means whoever leads when the injection fires, so a
     leader-kill regime lands on the promoted successor mid-failover
     rather than on a stale snapshot of the membership."""
+    group = cluster.replication.group_of("exactly-once", "rstate")
+    if group is None:
+        raise RuntimeError("replicated workload deployed no replica group")
     rng = random.Random(seed)
     plan = FaultPlan(cluster)
-    specs: List[ExactlyOnceSpec] = []
+    specs: List[RegimeSpec] = []
     start, end = window
     step = (end - start) / max(1, count)
     group_hosts = sorted(set(group.hosts.values()))
@@ -667,20 +621,20 @@ def _exactly_once_faults(cluster, group, seed: int,
         if kind == "replica-kill":
             plan.custom(when, "kill replica follower (dynamic)",
                         kill("follower"))
-            specs.append(ExactlyOnceSpec(
+            specs.append(RegimeSpec(
                 kind, when, "highest-id alive follower at fire time"))
         elif kind == "leader-kill":
             plan.custom(when, "kill group leader (dynamic)", kill("leader"))
             plan.custom(when + 0.4,
                         "kill promoted leader mid-failover (dynamic)",
                         kill("leader"))
-            specs.append(ExactlyOnceSpec(
+            specs.append(RegimeSpec(
                 kind, when, "leader, then its successor 0.40s later"))
         elif kind == "broadcast-flap":
             host_a, host_b = rng.sample(group_hosts, 2)
             duration = 0.6
             plan.link_flap(host_a, host_b, when, duration)
-            specs.append(ExactlyOnceSpec(
+            specs.append(RegimeSpec(
                 kind, when, "%s<->%s down for %.2fs"
                 % (host_a, host_b, duration)))
         else:  # controller-outage (+ a replica kill inside the window)
@@ -689,61 +643,13 @@ def _exactly_once_faults(cluster, group, seed: int,
             plan.custom(when + 0.3,
                         "kill replica follower during controller outage",
                         kill("follower"))
-            specs.append(ExactlyOnceSpec(
+            specs.append(RegimeSpec(
                 kind, when, "%.2fs outage, follower killed at +0.30s"
                 % duration))
-    return ExactlyOnceSchedule(seed, specs), plan
+    return RegimeSchedule("exactly-once", seed, specs), plan.arm()
 
 
-def run_chaos_exactly_once(seed: int = 0, hosts: int = 3,
-                           duration: float = 16.0, faults: int = 4,
-                           rate: float = 1000.0, warmup: float = 4.0,
-                           recovery: float = 6.0, settle: float = 2.0,
-                           relays: int = 2,
-                           replicas: int = 3) -> ChaosRunResult:
-    """One seeded exactly-once chaos scenario end to end.
-
-    Deploys the actively-replicated workload
-    (:func:`~repro.workloads.replicated.replicated_topology`) on the
-    Typhoon runtime with a *strict* dedup registry (no at-least-once
-    leniency: a double-applied commit is a violation, not a replay),
-    arms the targeted regime schedule, then holds the quiesced cluster
-    to all six invariants — in particular replication conservation and
-    zero lost / zero duplicate committed tuples.
-    """
-    engine = Engine()
-    cluster = TyphoonCluster(engine, num_hosts=hosts, seed=seed)
-    cluster.register_app(FaultDetector(cluster))
-    registry = DedupRegistry(at_least_once=False)
-    cluster.services[DEDUP_SERVICE] = registry
-    config = TopologyConfig(batch_size=50, max_spout_rate=rate,
-                            reliable_control=True)
-    cluster.submit(replicated_topology("exactly-once", config,
-                                       relays=relays, replicas=replicas))
-    group = cluster.replication.group_of("exactly-once", "rstate")
-    if group is None:
-        raise RuntimeError("replicated workload deployed no replica group")
-    engine.run(until=warmup)
-
-    window = (warmup, max(warmup + 1.0, duration - 3.0))
-    schedule, plan = _exactly_once_faults(cluster, group, seed, window,
-                                          faults)
-    plan.arm()
-    cluster.chaos_plan = plan
-
-    # The recovery tail must cover the slowest chain this harness can
-    # produce: supervisor restart (~3 s) + rejoin + log repair + the
-    # re-emit age gate.
-    engine.run(until=duration + max(recovery, 6.0))
-    invariants = InvariantChecker(cluster, settle=settle).run()
-    return ChaosRunResult(system="typhoon", seed=seed, schedule=schedule,
-                          plan=plan, invariants=invariants,
-                          exactly_once=True)
-
-
-# -- the controller-HA chaos runner --------------------------------------------
-
-#: Fault regimes the controller-HA harness drives, in order:
+#: Fault regimes the ha mode drives, in order (``count`` does not apply):
 #:
 #: * ``leader-kill-mid-update`` — crash the elected leader exactly when a
 #:   Fig. 6 scale-up announces its ``rules`` phase (flow rules half
@@ -756,37 +662,11 @@ def run_chaos_exactly_once(seed: int = 0, hosts: int = 3,
 HA_REGIMES = ("leader-kill-mid-update", "successor-kill", "store-partition")
 
 
-@dataclass
-class HASpec:
-    """One planned controller-HA regime instance (deterministic)."""
-
-    kind: str
-    when: float
-    detail: str
-
-    def describe(self) -> str:
-        return "%-22s t=%6.2f %s" % (self.kind, self.when, self.detail)
-
-
-@dataclass
-class HASchedule:
-    """Seeded regime schedule for the replicated control plane — same
-    shape as :class:`~repro.sim.faults.ChaosSchedule` where the report
-    machinery cares (``specs`` + ``describe``)."""
-
-    seed: int
-    specs: List[HASpec] = field(default_factory=list)
-
-    def describe(self) -> str:
-        lines = ["controller-ha fault schedule seed=%d regimes=%d"
-                 % (self.seed, len(self.specs))]
-        lines.extend("  " + spec.describe() for spec in self.specs)
-        return "\n".join(lines)
-
-
-def _ha_faults(cluster, seed: int, window: Tuple[float, float],
-               relays: int) -> Tuple[HASchedule, FaultPlan, Dict[str, object]]:
-    """Build the three targeted HA regimes against a running cluster.
+def _ha_faults(cluster, physical, seed: int, window: Tuple[float, float],
+               count: int) -> Tuple[RegimeSchedule, FaultPlan]:
+    """The three targeted HA regimes against a running cluster; what the
+    fencing and blackout checks expect lands in
+    ``cluster.ha_expectations``.
 
     Every kill resolves its victim at fire time ("the leader" means
     whoever leads *then*), and every downed replica restarts well before
@@ -794,7 +674,7 @@ def _ha_faults(cluster, seed: int, window: Tuple[float, float],
     engine = cluster.engine
     rng = random.Random(seed)
     plan = FaultPlan(cluster)
-    specs: List[HASpec] = []
+    specs: List[RegimeSpec] = []
     start, end = window
     step = (end - start) / len(HA_REGIMES)
     probe_dpid = sorted(cluster.sdn.switches)[0]
@@ -802,9 +682,9 @@ def _ha_faults(cluster, seed: int, window: Tuple[float, float],
     expectations: Dict[str, object] = {
         "probes": 0,
         "probe_match": probe_match,
-        "probe_dpid": probe_dpid,
         "min_failovers": 4,
     }
+    cluster.ha_expectations = expectations
 
     def kill_current_leader(repair_after: float):
         def action() -> None:
@@ -820,13 +700,14 @@ def _ha_faults(cluster, seed: int, window: Tuple[float, float],
     # data plane programmed by a controller that just died.
     t_update = round(start + step * rng.uniform(0.1, 0.3), 3)
     engine.schedule(max(0.0, t_update - engine.now),
-                    cluster.set_parallelism, "chaos", "relay", relays + 1)
+                    cluster.set_parallelism, "chaos", "relay", RELAYS + 1)
     plan.at_phase("chaos", "scale_up", "rules",
                   kill_current_leader(repair_after=2.5),
                   description="kill leader at scale-up rules phase")
-    specs.append(HASpec(HA_REGIMES[0], t_update,
-                        "scale relay->%d, kill fire-time leader at the "
-                        "rules phase, restart +2.50s" % (relays + 1)))
+    specs.append(RegimeSpec(HA_REGIMES[0], t_update,
+                            "scale relay->%d, kill fire-time leader at the "
+                            "rules phase, restart +2.50s" % (RELAYS + 1),
+                            width=22))
 
     # Regime 2: double failure — the promoted successor dies too, after
     # it claimed the switches but (typically) before its reconciliation
@@ -836,9 +717,9 @@ def _ha_faults(cluster, seed: int, window: Tuple[float, float],
                 kill_current_leader(repair_after=3.0))
     plan.custom(t_double + 0.9, "kill promoted successor (dynamic)",
                 kill_current_leader(repair_after=3.0))
-    specs.append(HASpec(HA_REGIMES[1], t_double,
-                        "leader, then its successor 0.90s later, "
-                        "restarts +3.00s"))
+    specs.append(RegimeSpec(HA_REGIMES[1], t_double,
+                            "leader, then its successor 0.90s later, "
+                            "restarts +3.00s", width=22))
 
     # Regime 3: the leader loses the store but keeps running — a stale
     # master. After the survivors elect a new leader, the stale one
@@ -870,54 +751,131 @@ def _ha_faults(cluster, seed: int, window: Tuple[float, float],
     plan.custom(t_split, "partition leader from store", partition,
                 duration=2.0, restore=heal)
     plan.custom(t_split + 1.2, "stale-master probe FlowMod", probe)
-    specs.append(HASpec(HA_REGIMES[2], t_split,
-                        "leader loses the store for 2.00s; stale-master "
-                        "FlowMod probe at +1.20s"))
-    return HASchedule(seed, specs), plan, expectations
+    specs.append(RegimeSpec(HA_REGIMES[2], t_split,
+                            "leader loses the store for 2.00s; stale-master "
+                            "FlowMod probe at +1.20s", width=22))
+    return RegimeSchedule("controller-ha", seed, specs), plan.arm()
 
 
-def run_chaos_ha(seed: int = 0, hosts: int = 3, duration: float = 20.0,
-                 rate: float = 1500.0, warmup: float = 4.0,
-                 recovery: float = 6.0, settle: float = 2.0,
-                 relays: int = 2, sinks: int = 2,
-                 replicas: int = 3) -> ChaosRunResult:
-    """One seeded controller-HA chaos scenario end to end.
+def _chaos_workload(config: TopologyConfig):
+    return chaos_topology("chaos", config, relays=RELAYS, sinks=SINKS)
 
-    Deploys the chaos workload on a cluster with a *replicated* control
-    plane (``ha_replicas`` controller instances, leader election over
-    the coordinator), drives the three HA regimes — leader kill mid
-    Fig. 6 update, kill of the freshly promoted successor, leader/store
-    partition with a stale-master probe — then holds the quiesced
-    cluster to the standard six invariants plus the four HA invariants:
-    single-master convergence, zero rule divergence, complete fencing,
-    and bounded blackout.
+
+def _replicated_workload(config: TopologyConfig):
+    return replicated_topology("exactly-once", config, relays=RELAYS,
+                               replicas=REPLICAS)
+
+
+@dataclass(frozen=True)
+class Regime:
+    """Everything that differs between the chaos modes."""
+
+    systems: Tuple[str, ...]
+    workload: Callable[[TopologyConfig], object]
+    #: ``TopologyConfig`` fields on top of the batch size and spout rate.
+    config: Dict[str, object]
+    #: Whether the dedup registry forgives at-least-once replays.
+    at_least_once: bool
+    #: Controller replicas (0 deploys the single controller).
+    ha_replicas: int
+    #: ``(cluster, physical, seed, window, count)`` -> schedule and the
+    #: armed plan.
+    faults: Callable
+    #: The faults fire in ``[WARMUP, max(WARMUP + span, duration - tail)]``.
+    span: float
+    tail: float
+    #: Virtual seconds the run continues past ``duration`` before the
+    #: quiesce; each covers the slowest repair its faults can start.
+    recovery: float
+
+
+REGIMES: Dict[str, Regime] = {
+    # Loss is attributed but not repaired; recovery covers a supervisor
+    # restart (~3 s).
+    "best-effort": Regime(
+        systems=("typhoon", "storm"), workload=_chaos_workload, config={},
+        at_least_once=False, ha_replicas=0, faults=_random_faults,
+        span=1.0, tail=2.0, recovery=5.0),
+    # The full reliability stack under the same faults, held to zero
+    # permanently-lost roots: every replayed tuple needs time to drain
+    # through backoff plus a possible supervisor restart.
+    "acked": Regime(
+        systems=("typhoon", "storm"), workload=_chaos_workload,
+        config=dict(acking=True, num_ackers=1, tuple_timeout=2.0,
+                    max_pending=48, replay_enabled=True,
+                    replay_max_retries=12, replay_backoff_base=0.25,
+                    replay_backoff_factor=2.0, replay_backoff_max=1.0,
+                    checkpoint_interval=0.5, reliable_control=True),
+        at_least_once=True, ha_replicas=0, faults=_random_faults,
+        span=1.0, tail=2.0, recovery=8.0),
+    # The replicated workload, held to zero lost and zero duplicate
+    # commits; recovery covers supervisor restart (~3 s) + rejoin + log
+    # repair + the re-emit age gate.
+    "exactly-once": Regime(
+        systems=("typhoon",), workload=_replicated_workload,
+        config={"reliable_control": True}, at_least_once=False,
+        ha_replicas=0, faults=_exactly_once_faults,
+        span=1.0, tail=3.0, recovery=6.0),
+    # A replicated control plane; recovery covers the last regime's
+    # heal plus a full failback (session timeout + promotion +
+    # reconciliation sweep).
+    "ha": Regime(
+        systems=("typhoon",), workload=_chaos_workload, config={},
+        at_least_once=False, ha_replicas=REPLICAS, faults=_ha_faults,
+        span=3.0, tail=3.0, recovery=6.0),
+}
+
+
+def regime_for(system: str, mode: str) -> Regime:
+    """The :data:`REGIMES` row of ``mode``; ``ValueError`` if it does not
+    run on ``system``."""
+    regime = REGIMES[mode]
+    if system not in regime.systems:
+        raise ValueError("%s chaos needs the %s runtime"
+                         % (mode, " or ".join(regime.systems)))
+    return regime
+
+
+def run_chaos(system: str = "typhoon", seed: int = 0, hosts: int = 3,
+              duration: float = 16.0, faults: int = 6, rate: float = 1500.0,
+              mode: str = "best-effort") -> ChaosRunResult:
+    """One seeded chaos scenario end to end.
+
+    Deploy the mode's workload with a fault detector and a dedup
+    registry, warm up, arm the mode's fault plan inside its window, run
+    to ``duration`` plus the mode's recovery time, then quiesce and
+    check the six invariants (plus the four HA invariants in ``ha``
+    mode).
     """
+    regime = regime_for(system, mode)
     engine = Engine()
-    cluster = TyphoonCluster(engine, num_hosts=hosts, seed=seed,
-                             ha_replicas=replicas)
-    cluster.register_app_factory(lambda: FaultDetector(cluster))
-    registry = DedupRegistry(at_least_once=False)
-    cluster.services[DEDUP_SERVICE] = registry
-    config = TopologyConfig(batch_size=50, max_spout_rate=rate)
-    cluster.submit(chaos_topology("chaos", config, relays=relays,
-                                  sinks=sinks))
-    engine.run(until=warmup)
+    if system == "typhoon":
+        cluster = TyphoonCluster(engine, num_hosts=hosts, seed=seed,
+                                 ha_replicas=regime.ha_replicas)
+        cluster.register_app_factory(lambda: FaultDetector(cluster))
+    else:
+        cluster = StormCluster(engine, num_hosts=hosts, seed=seed)
+    cluster.services[DEDUP_SERVICE] = DedupRegistry(
+        at_least_once=regime.at_least_once)
+    config = TopologyConfig(batch_size=50, max_spout_rate=rate,
+                            **regime.config)
+    physical = cluster.submit(regime.workload(config))
+    engine.run(until=WARMUP)
 
-    window = (warmup, max(warmup + 3.0, duration - 3.0))
-    schedule, plan, expectations = _ha_faults(cluster, seed, window, relays)
-    plan.arm()
+    window = (WARMUP, max(WARMUP + regime.span, duration - regime.tail))
+    schedule, plan = regime.faults(cluster, physical, seed, window, faults)
     cluster.chaos_plan = plan
-    cluster.ha_expectations = expectations
 
-    # The tail must cover the last regime's heal plus a full failback
-    # (session timeout + promotion + reconciliation sweep).
-    engine.run(until=duration + max(recovery, 5.0))
-    invariants = InvariantChecker(cluster, settle=settle).run()
-    ha_payload = dict(cluster.ha.snapshot())
-    ha_payload["failovers_detail"] = ha_payload.pop("failovers")
-    ha_payload["probes"] = expectations.get("probes", 0)
-    return ChaosRunResult(system="typhoon", seed=seed, schedule=schedule,
-                          plan=plan, invariants=invariants, ha=ha_payload)
+    engine.run(until=duration + regime.recovery)
+    invariants = InvariantChecker(cluster).run()
+    ha = getattr(cluster, "ha", None)
+    if ha is not None:
+        ha = dict(ha.snapshot())
+        ha["failovers_detail"] = ha.pop("failovers")
+        ha["probes"] = cluster.ha_expectations["probes"]
+    return ChaosRunResult(system=system, seed=seed, mode=mode,
+                          schedule=schedule, plan=plan,
+                          invariants=invariants, ha=ha)
 
 
 def chaos_snapshot(cluster) -> Dict[str, object]:

@@ -360,51 +360,6 @@ class FaultPlan:
             restore=lambda: set_control_fault(self.cluster)))
         return self
 
-    # -- replicated-control-plane faults -----------------------------------
-
-    def kill_leader(self, when: float, duration: float,
-                    description: str = "kill leader replica") -> "FaultPlan":
-        """Crash whichever replica *leads at fire time* (resolved when
-        the injection fires, not when the plan is built — a prior fault
-        may already have moved leadership), restart it ``duration``
-        later."""
-        holder: dict = {}
-
-        def action() -> None:
-            ha = _ha_plane(self.cluster)
-            victim = ha.leader_name or ha.replicas[0].name
-            holder["victim"] = victim
-            set_controller_replica_down(self.cluster, victim, True)
-
-        def restore() -> None:
-            victim = holder.get("victim")
-            if victim is not None:
-                set_controller_replica_down(self.cluster, victim, False)
-
-        return self.custom(when, description, action, duration=duration,
-                           restore=restore)
-
-    def partition_leader_from_store(
-            self, when: float, duration: float,
-            description: str = "partition leader from store") -> "FaultPlan":
-        """Cut the fire-time leader off from the coordination store: it
-        keeps running as a stale master until the switches fence it."""
-        holder: dict = {}
-
-        def action() -> None:
-            ha = _ha_plane(self.cluster)
-            victim = ha.leader_name or ha.replicas[0].name
-            holder["victim"] = victim
-            set_store_partition(self.cluster, victim, True)
-
-        def restore() -> None:
-            victim = holder.get("victim")
-            if victim is not None:
-                set_store_partition(self.cluster, victim, False)
-
-        return self.custom(when, description, action, duration=duration,
-                           restore=restore)
-
     # -- dynamic faults ----------------------------------------------------
 
     def custom(self, when: float, description: str,

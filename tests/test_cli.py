@@ -59,9 +59,11 @@ def test_wordcount_storm_runs():
     assert "system: storm" in text
 
 
-def test_bench_runs_sched_benchmark_and_writes_json(tmp_path):
+@pytest.mark.parametrize("seed", [0, 1])
+def test_bench_runs_sched_benchmark_and_writes_json(tmp_path, seed):
     report = tmp_path / "sched.json"
-    code, text = run_cli(["bench", "--seed", "0", "--output", str(report)])
+    code, text = run_cli(["bench", "--seed", str(seed), "--output",
+                          str(report)])
     assert code == 0
     assert "GATE FAIL" not in text
     comparison = json.loads(report.read_text())["comparison"]

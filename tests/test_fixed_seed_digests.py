@@ -57,6 +57,11 @@ COMMANDS: Dict[str, List[str]] = {
     "chaos-acked-seed1": ["chaos", "--seed", "1", "--acked"],
     "chaos-exactly-once-seed1": ["chaos", "--seed", "1", "--exactly-once"],
     "chaos-ha-seed1": ["chaos", "--seed", "1", "--ha"],
+    "chaos-seed2": ["chaos", "--seed", "2", "--system", "both"],
+    "chaos-acked-storm": ["chaos", "--seed", "0", "--system", "storm",
+                          "--acked"],
+    "chaos-acked-storm-seed1": ["chaos", "--seed", "1", "--system", "storm",
+                                "--acked"],
 }
 
 TRANSPORT_COUNTERS = ("tuples_sent", "serializations", "frames_sent",
@@ -323,6 +328,15 @@ def test_fixed_seed_output_matches_golden(golden, name):
 
 def test_golden_names_every_run(golden):
     assert set(golden) == set(COMMANDS) | set(SHAPES)
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_golden_commands_pass(golden, name):
+    """A rewrite cannot lock in a failing run: every locked command
+    exits 0 and reports no failed invariant or gate."""
+    assert golden[name]["exit"] == 0
+    assert not [line for line in golden[name]["output"]
+                if "[FAIL]" in line or ": FAIL" in line]
 
 
 def main() -> int:

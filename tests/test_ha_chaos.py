@@ -19,13 +19,13 @@ from repro.core.chaos import (
     I_HA_CONVERGENCE,
     I_HA_DIVERGENCE,
     I_HA_FENCING,
-    run_chaos_ha,
+    run_chaos,
 )
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_ha_regimes_pass_all_invariants(seed):
-    result = run_chaos_ha(seed=seed, rate=800.0)
+    result = run_chaos(seed=seed, rate=800.0, mode="ha", duration=20.0)
     assert result.ok, result.render()
     for name in (I_HA_CONVERGENCE, I_HA_DIVERGENCE, I_HA_FENCING,
                  I_HA_BLACKOUT):
@@ -53,8 +53,8 @@ def test_ha_regimes_pass_all_invariants(seed):
 
 
 def test_ha_run_is_seed_deterministic():
-    first = run_chaos_ha(seed=0, rate=800.0)
-    second = run_chaos_ha(seed=0, rate=800.0)
+    first = run_chaos(seed=0, rate=800.0, mode="ha", duration=20.0)
+    second = run_chaos(seed=0, rate=800.0, mode="ha", duration=20.0)
     assert first.render() == second.render()
     assert first.ha["failovers_detail"] == second.ha["failovers_detail"]
     assert (first.invariants.conservation.to_dict()
@@ -62,7 +62,8 @@ def test_ha_run_is_seed_deterministic():
 
 
 def test_ha_runs_differ_across_seeds():
-    renders = {run_chaos_ha(seed=seed, rate=800.0).render()
+    renders = {run_chaos(seed=seed, rate=800.0, mode="ha",
+                         duration=20.0).render()
                for seed in (0, 1)}
     assert len(renders) == 2
 
@@ -78,8 +79,25 @@ def test_cli_chaos_ha_reports_and_passes():
     assert "[FAIL]" not in text
 
 
-def test_cli_chaos_ha_requires_typhoon():
+@pytest.mark.parametrize("flag", ["--ha", "--exactly-once"])
+def test_cli_chaos_ha_requires_typhoon(flag):
     out = io.StringIO()
-    code = main(["chaos", "--ha", "--system", "storm"], out=out)
+    code = main(["chaos", flag, "--system", "storm"], out=out)
     assert code == 2
     assert "typhoon" in out.getvalue()
+
+
+@pytest.mark.parametrize("mode", ["exactly-once", "ha"])
+def test_typhoon_only_modes_reject_storm(mode):
+    with pytest.raises(ValueError, match="typhoon"):
+        run_chaos(system="storm", mode=mode)
+
+
+@pytest.mark.parametrize("flags", [("--acked", "--ha"),
+                                   ("--acked", "--exactly-once"),
+                                   ("--ha", "--exactly-once")])
+def test_cli_chaos_mode_flags_are_mutually_exclusive(flags, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["chaos", "--seed", "0", *flags], out=io.StringIO())
+    assert exit_info.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err

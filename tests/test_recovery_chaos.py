@@ -59,8 +59,8 @@ def typhoon_cluster():
 
 @pytest.mark.parametrize("system", ["typhoon", "storm"])
 def test_acked_chaos_converges_to_zero_lost_roots(system):
-    result = run_chaos(system, seed=0, acked=True)
-    assert result.acked
+    result = run_chaos(system, seed=0, mode="acked")
+    assert result.mode == "acked"
     assert result.ok, result.render()
     replay = result.invariants.result(I_REPLAY)
     assert replay.status == PASS
@@ -74,8 +74,8 @@ def test_acked_chaos_converges_to_zero_lost_roots(system):
 
 
 def test_acked_chaos_is_deterministic():
-    first = run_chaos("typhoon", seed=0, acked=True)
-    second = run_chaos("typhoon", seed=0, acked=True)
+    first = run_chaos("typhoon", seed=0, mode="acked")
+    second = run_chaos("typhoon", seed=0, mode="acked")
     assert first.render() == second.render()
     assert first.to_dict() == second.to_dict()
 

@@ -22,7 +22,6 @@ from repro.core.chaos import (
     SKIP,
     InvariantChecker,
     run_chaos,
-    run_chaos_exactly_once,
 )
 from repro.core.runtime import TyphoonCluster
 from repro.sim.engine import Engine
@@ -138,14 +137,14 @@ def test_invariant_skips_without_replication():
 
 
 def test_exactly_once_runner_end_to_end():
-    result = run_chaos_exactly_once(seed=2, duration=12.0, faults=4,
-                                    rate=600.0)
+    result = run_chaos(seed=2, duration=12.0, faults=4, rate=600.0,
+                       mode="exactly-once")
     assert result.ok, result.render()
-    assert result.exactly_once
+    assert result.mode == "exactly-once"
     rep = result.invariants.result(I_REPLICATION)
     assert rep.status == PASS
     assert "lost=0" in rep.detail
     # Same seed, same report, byte for byte.
-    again = run_chaos_exactly_once(seed=2, duration=12.0, faults=4,
-                                   rate=600.0)
+    again = run_chaos(seed=2, duration=12.0, faults=4, rate=600.0,
+                      mode="exactly-once")
     assert again.render() == result.render()
