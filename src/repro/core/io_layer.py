@@ -17,6 +17,7 @@ Two halves:
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..net.addresses import BROADCAST, CONTROLLER_ADDRESS, TYPHOON_ETHERTYPE, WorkerAddress
@@ -495,9 +496,86 @@ class TyphoonTransport(Transport):
         train sender with nothing charged between tuples."""
         return self.send_interleaved(stream_tuples, dst, 0.0, 0.0)
 
+    def _address(self, dst: _DstKey) -> WorkerAddress:
+        """The interned buffer key for a worker id or special address."""
+        address = self._addr_cache.get(dst)
+        if address is None:
+            if isinstance(dst, WorkerAddress):
+                address = self._addr_cache[dst] = dst
+            else:
+                address = self._addr_cache[dst] = WorkerAddress(self.app_id,
+                                                                dst)
+        return address
+
+    def _train_term(self, rlen: int) -> float:
+        """Memoize the send total of an unflushed record of ``rlen``
+        bytes: serialize, then enqueue, the float :meth:`send` adds."""
+        costs = self.costs
+        term = self._train_terms[rlen] = (
+            costs.serialize_per_tuple + rlen * costs.serialize_per_byte
+            + self._enqueue_cost)
+        return term
+
+    def send_log(self, stream_tuples: Sequence[StreamTuple],
+                 dsts: Sequence[int]) -> List[float]:
+        """Replay a window's per-tuple sends ``send(t, [dst])`` as
+        per-destination trains and return each send's total.
+
+        Each destination's run is cut at its flush points (where its
+        batch buffer fills), and the segments go through
+        :meth:`send_interleaved` in the order their flushes fall in the
+        log, so frames reach the switch in the per-tuple order;
+        segments that end without a flush follow. Buffers are created
+        in the order the log first names each destination, which keeps
+        :meth:`flush`'s destination order too."""
+        n = len(stream_tuples)
+        if self.closed:
+            return [0.0] * n
+        first = dsts[0]
+        if dsts.count(first) == n:
+            totals: List[float] = []
+            self.send_interleaved(stream_tuples, first, 0.0, 0.0,
+                                  totals=totals)
+            return totals
+        runs: Dict[int, List[int]] = {}
+        for i, dst in enumerate(dsts):
+            run = runs.get(dst)
+            if run is None:
+                runs[dst] = [i]
+            else:
+                run.append(i)
+        buffers = self._buffers
+        batch_size = self.batch_size
+        # (log index of the flushing send, or n for a tail; dst; run)
+        segments: List[Tuple[int, int, List[int]]] = []
+        for dst, run in runs.items():
+            address = self._address(dst)
+            if address not in buffers:
+                buffers[address] = _SendBuffer()
+            # The same flush positions send_interleaved's walk finds.
+            cut = max(0, batch_size - 1 - buffers[address].tuples)
+            lo = 0
+            while cut < len(run):
+                segments.append((run[cut], dst, run[lo:cut + 1]))
+                lo = cut + 1
+                cut += batch_size
+            if lo < len(run):
+                segments.append((n, dst, run[lo:]))
+        segments.sort(key=itemgetter(0))   # stable: tails keep dst order
+        totals = [0.0] * n
+        part: List[float] = []
+        for _, dst, run in segments:
+            self.send_interleaved([stream_tuples[i] for i in run], dst,
+                                  0.0, 0.0, totals=part)
+            for i, total in zip(run, part):
+                totals[i] = total
+            part.clear()
+        return totals
+
     def send_interleaved(self, stream_tuples: Sequence[StreamTuple],
                          dst: _DstKey, pre_cost: float,
-                         cost: float, uniform: bool = False) -> float:
+                         cost: float, uniform: bool = False,
+                         totals: Optional[List[float]] = None) -> float:
         """The train primitive, which every batched send delegates to.
         Replays the executor's per-tuple dispatch ``for t: cost +=
         pre_cost; cost += send(t, [dst])`` with the identical
@@ -511,25 +589,27 @@ class TyphoonTransport(Transport):
         came off one collector's fast-sink lane — one shared
         ``(stream, source_worker)`` envelope, no anchor/trace/seq
         stamps — unlocking :func:`encode_train_uniform`'s tightened
-        single-pass encode. Bytes and costs are unchanged either way."""
+        single-pass encode. Bytes and costs are unchanged either way.
+
+        With a ``totals`` list, the walk appends each tuple's own send
+        total (the float :meth:`send` would have returned) to it
+        instead of accumulating ``cost``, which is then returned
+        unchanged; :meth:`send_log` folds those totals."""
         if not stream_tuples:
             return cost
         if self.closed:
             # send() would return 0.0 per tuple; += 0.0 is a bit-exact
             # no-op on a finite cost, so only pre_cost remains.
+            if totals is not None:
+                totals.extend([0.0] * len(stream_tuples))
+                return cost
             for _ in stream_tuples:
                 cost += pre_cost
             return cost
         costs = self.costs
         ser_per_tuple = costs.serialize_per_tuple
         ser_per_byte = costs.serialize_per_byte
-        address = self._addr_cache.get(dst)
-        if address is None:
-            if isinstance(dst, WorkerAddress):
-                address = self._addr_cache[dst] = dst
-            else:
-                address = self._addr_cache[dst] = WorkerAddress(self.app_id,
-                                                                dst)
+        address = self._address(dst)
         buffers = self._buffers
         buffer = buffers.get(address)
         if buffer is None:
@@ -544,7 +624,7 @@ class TyphoonTransport(Transport):
         # Train fast path: encode the whole batch into one contiguous
         # length-prefixed buffer, queued chunk-per-flush-window instead
         # of record-per-tuple. A train encodes only when no tuple is
-        # anchored/traced/sequenced (the unadorned hot path).
+        # traced or sequenced.
         if uniform:
             first = stream_tuples[0]
             train = encode_train_uniform(stream_tuples, first.stream,
@@ -592,16 +672,19 @@ class TyphoonTransport(Transport):
                 if fi < i:
                     fi = i
                 stop = fi if fi < n else n
-                for rlen in rlens[i:stop]:
-                    cost += pre_cost
-                    if rlen != prev_rlen:
-                        term = term_get(rlen)
-                        if term is None:
-                            term = terms[rlen] = (
-                                ser_per_tuple + rlen * ser_per_byte
-                                + enqueue_cost)
-                        prev_rlen = rlen
-                    cost += term
+                if totals is None:
+                    for rlen in rlens[i:stop]:
+                        cost += pre_cost
+                        if rlen != prev_rlen:
+                            term = term_get(rlen)
+                            if term is None:
+                                term = self._train_term(rlen)
+                            prev_rlen = rlen
+                        cost += term
+                else:
+                    # ``or`` recomputes a memoized 0.0 to the same 0.0.
+                    totals += [term_get(rlen) or self._train_term(rlen)
+                               for rlen in rlens[i:stop]]
                 if fi >= n:
                     blen += n - i
                     break
@@ -618,7 +701,10 @@ class TyphoonTransport(Transport):
                 dcost += self._flush_address(address)
                 blen = 0
                 tcost += dcost
-                cost += tcost
+                if totals is None:
+                    cost += tcost
+                else:
+                    totals.append(tcost)
                 i = end
             if seg < n:
                 append(_TrainChunk(data, bounds, rlens, ests, objs,
@@ -627,7 +713,8 @@ class TyphoonTransport(Transport):
         else:
             # Stamped batch: one record per tuple, as send() queues it.
             for stream_tuple in stream_tuples:
-                cost += pre_cost
+                if totals is None:
+                    cost += pre_cost
                 encoded, all_scalar = encode_tuple_scalar(stream_tuple)
                 tcost = ser_per_tuple + len(encoded) * ser_per_byte
                 if stream_tuple.trace_id is not None:
@@ -640,7 +727,10 @@ class TyphoonTransport(Transport):
                     dcost += self._flush_address(address)
                     blen = 0
                 tcost += dcost
-                cost += tcost
+                if totals is None:
+                    cost += tcost
+                else:
+                    totals.append(tcost)
         sent = len(stream_tuples)
         # Counter/ledger bumps are coalesced: nothing outside this call
         # can observe them before it returns (frame forwarding is

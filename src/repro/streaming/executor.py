@@ -100,10 +100,14 @@ class WorkerStats:
         }
 
 
-@dataclass
 class _PendingRoot:
-    message_id: Any
-    emit_time: float
+    """An acked root awaiting completion (one per spout emission)."""
+
+    __slots__ = ("message_id", "emit_time")
+
+    def __init__(self, message_id: Any, emit_time: float):
+        self.message_id = message_id
+        self.emit_time = emit_time
 
 
 class _Collector(EmitterApi):
@@ -240,7 +244,7 @@ class _Collector(EmitterApi):
         # to time out (the old scheme XORed a poison value into the
         # ledger so the root could only fail by timeout).
         if stream_tuple.anchor is not None:
-            self._executor._send_ack_message(
+            self._executor._post_ack_message(
                 ACK_FAIL, stream_tuple.anchor.root_id, 0
             )
 
@@ -367,6 +371,14 @@ class WorkerExecutor:
         #: when the topology enables ``checkpoint_interval``).
         self._checkpoints: Optional[CheckpointStore] = None
         self._deferred_acks: List[Tuple[int, int]] = []
+        #: The window log (DESIGN.md §5i): acked sends of the current
+        #: spout window or bolt delivery, held back in send order and
+        #: handed to ``transport.send_log`` in one call. ``_logging``
+        #: is armed only while the loop that replays the log runs
+        #: component code, so an ACK_INIT or FAIL posted then joins it.
+        self._log_tuples: List[StreamTuple] = []
+        self._log_dsts: List[int] = []
+        self._logging = False
         #: Sequence numbers of reliable control tuples already applied
         #: (idempotent re-application under controller retries).
         self.applied_control_seqs: set = set()
@@ -657,6 +669,11 @@ class WorkerExecutor:
         # processed at a single virtual instant, so n marks of 1 and one
         # mark of n land in the same rate bucket). Marks are flushed
         # before any control/signal/ack handling, which may read stats.
+        #
+        # Under acking, a bolt's ACK_ACKs and lone direct emissions (the
+        # acker's COMPLETE or FAIL) go into the window log; each tuple's
+        # ``tcost + send totals`` is folded into ``cost`` once the log
+        # is sent (DESIGN.md §5i). Any other send first sends the log.
         collector = self.collector
         # Spouts have no execute(); a data tuple reaching one takes the
         # _run_component path, which crashes the worker exactly as before.
@@ -665,28 +682,44 @@ class WorkerExecutor:
         app_compute = self.costs.app_compute_per_tuple
         stats = self.stats
         acking = self.acking
+        spout = self.is_spout
+        logging = acking and not spout
+        if logging:
+            log = self._log_tuples
+            log_dsts = self._log_dsts
+            ackers = self.ackers
+            nackers = len(ackers)
+            # (tcost, log length after the tuple, its logged sends)
+            folds: List[Tuple[float, int, int]] = []
+            self._logging = True
         processed = 0
+        emitted = 0
         for stream_tuple in delivery.tuples:
             stream = stream_tuple.stream
             # SIGNAL(1)/ACK(2)/CONTROL(3) are a contiguous reserved
             # band, so the data-path common case (stream 0) pays one
-            # failed comparison instead of three.
-            if 1 <= stream <= 3:
-                if processed:
-                    stats.processed += processed
-                    self.processed_meter.mark(processed)
-                    processed = 0
+            # failed comparison instead of three. A bolt's ack input is
+            # the acker's data: it runs the component like any tuple.
+            if 1 <= stream <= 3 and (stream != ACK_STREAM or spout):
+                if processed or emitted:
+                    self._mark(processed, emitted)
+                    processed = emitted = 0
+                if logging:
+                    if log:
+                        cost = self._send_window_log(cost, folds)
+                    self._logging = False
                 if stream == CONTROL_STREAM:
                     cost += self._handle_control(stream_tuple)
                 elif stream == SIGNAL_STREAM:
                     cost += self._run_component(stream_tuple, signal=True)
                 else:
                     cost += self._handle_ack_tuple(stream_tuple)
+                if logging:
+                    self._logging = True
                 continue
             if execute is None:
                 if processed:
-                    stats.processed += processed
-                    self.processed_meter.mark(processed)
+                    self._mark(processed, 0)
                     processed = 0
                 cost += self._run_component(stream_tuple, signal=False)
                 if not self.alive:
@@ -701,12 +734,15 @@ class WorkerExecutor:
                 execute(stream_tuple, collector)
             except Exception as error:
                 collector.current_input = None
-                if processed:
+                if processed or emitted:
                     # The crash callback may snapshot stats; flush the
                     # coalesced marks first so it sees them applied.
-                    stats.processed += processed
-                    self.processed_meter.mark(processed)
-                    processed = 0
+                    self._mark(processed, emitted)
+                    processed = emitted = 0
+                if logging and log:
+                    # Sends that preceded the crash are queued first
+                    # (and dropped when it closes the transport).
+                    cost = self._send_window_log(cost, folds)
                 self._crash(WorkerCrashed(
                     "worker %d (%s) crashed: %r"
                     % (self.worker_id, self.component_name, error)
@@ -721,25 +757,81 @@ class WorkerExecutor:
                 for service in billed:
                     tcost += service.drain_cost()
             processed += 1
-            if collector.buffered:
-                tcost += self._dispatch_emissions()
-            if acking and (anchor := stream_tuple.anchor) is not None:
-                ack_value = anchor.edge_id ^ collector.child_xor
-                if self._checkpoints is not None:
-                    self._deferred_acks.append((anchor.root_id, ack_value))
+            if not logging:
+                if collector.buffered:
+                    tcost += self._dispatch_emissions()
+                cost += tcost
+                if not self.alive:
+                    break
+                continue
+            sends = 0
+            buffered = collector.buffered
+            if buffered:
+                if len(buffered) == 1 and buffered[0][1] is not None:
+                    # A lone direct emission: _dispatch_emissions would
+                    # add its send total alone (0.0 + s is s).
+                    direct, dst = buffered.pop()
+                    log.append(direct)
+                    log_dsts.append(dst)
+                    emitted += 1
+                    sends = 1
                 else:
-                    tcost += self._send_ack_message(
-                        ACK_ACK, anchor.root_id, ack_value
-                    )
+                    if log:
+                        cost = self._send_window_log(cost, folds)
+                    tcost += self._dispatch_emissions()
+            if (anchor := stream_tuple.anchor) is not None:
+                ack_value = anchor.edge_id ^ collector.child_xor
+                root_id = anchor.root_id
+                if self._checkpoints is not None:
+                    self._deferred_acks.append((root_id, ack_value))
+                else:
+                    log.append(self._ack_tuple(ACK_ACK, root_id, ack_value))
+                    log_dsts.append(ackers[root_id % nackers])
+                    sends += 1
                 stats.acked += 1
-            cost += tcost
+            if sends or folds:
+                folds.append((tcost, len(log), sends))
+            else:
+                cost += tcost
             if not self.alive:
                 break
-        if processed:
-            stats.processed += processed
-            self.processed_meter.mark(processed)
+        if processed or emitted:
+            self._mark(processed, emitted)
+        if logging:
+            if log:
+                cost = self._send_window_log(cost, folds)
+            self._logging = False
         return cost
         yield  # pragma: no cover - makes this a generator for uniform use
+
+    def _mark(self, processed: int, emitted: int) -> None:
+        """Apply coalesced processed/emitted counts and meter marks."""
+        if processed:
+            self.stats.processed += processed
+            self.processed_meter.mark(processed)
+        if emitted:
+            self.stats.emitted += emitted
+            self.emitted_meter.mark(emitted)
+
+    def _send_window_log(self, cost: float,
+                         folds: List[Tuple[float, int, int]]) -> float:
+        """Send a bolt delivery's window log and fold each processed
+        tuple's ``tcost + send totals`` into ``cost`` in tuple order,
+        as the per-tuple loop adds them. Sends logged without a fold
+        (an explicit FAIL) keep their order and drop their cost."""
+        log = self._log_tuples
+        totals = self.transport.send_log(log, self._log_dsts)
+        for tcost, end, sends in folds:
+            if sends == 2:
+                tcost += totals[end - 2]
+                tcost += totals[end - 1]
+            elif sends:
+                tcost += totals[end - 1]
+            cost += tcost
+        folds.clear()
+        log.clear()
+        self._log_dsts.clear()
+        return cost
 
     def _run_component(self, stream_tuple: StreamTuple, signal: bool) -> float:
         tracer = self.tracer
@@ -913,16 +1005,33 @@ class WorkerExecutor:
         # the same order — all at one virtual instant. Any deviation
         # (multi-emission, direct send, charge(), other stream) flushes
         # the pending run first, so ordering never changes. Disabled
-        # under tracing (per-tuple trace hooks), acking (ACK_INIT sends
-        # inside emit must stay interleaved with data sends) and billed
-        # services (their drains interleave with dispatch costs).
-        defer_ok = not tracing and not self.acking and not billed
+        # under tracing (per-tuple trace hooks) and billed services
+        # (their drains interleave with dispatch costs).
+        #
+        # Under acking the same single-hop shape takes the acked lane
+        # instead: each call's ACK_INIT (posted inside emit) and its
+        # anchored tuple join the window log, which is sent in one
+        # send_log call at the window's end or before any deviation is
+        # handled; each tuple then folds ``cost += app_compute; cost +=
+        # send total`` as the per-tuple path adds them, and the
+        # ACK_INITs' totals are discarded, as _register_root discards
+        # them (DESIGN.md §5i). The call that arms the lane posted its
+        # ACK_INIT before the lane existed, so that one was sent at once.
+        defer_ok = not tracing and not billed
+        acked = self.acking
         fast_router = None
         fast_sink = False
         fast_bcast = False
         plen = 0
         pending: List[StreamTuple] = []
-        batch_next = self._next_tuple_batch if defer_ok else None
+        lane = None          # the acked lane's router, once armed
+        lane_stream = DEFAULT_STREAM
+        lane_hop = 0
+        lane_sent: List[int] = []   # log positions of the lane's tuples
+        log = self._log_tuples
+        log_dsts = self._log_dsts
+        batch_next = (self._next_tuple_batch if defer_ok and not acked
+                      else None)
         handoff = False
         calls = 0
         while calls < limit:
@@ -946,6 +1055,12 @@ class WorkerExecutor:
                                           cost)
                     marked += len(pending)
                     pending = []
+                if log:
+                    # Posted before the crash, so queued before it
+                    # closes the transport.
+                    cost = self._send_lane_log(cost, lane, lane_sent)
+                    marked += len(lane_sent)
+                    lane_sent.clear()
                 if marked:
                     # The crash callback may snapshot stats; flush the
                     # coalesced marks and counters first so it sees
@@ -977,7 +1092,25 @@ class WorkerExecutor:
                 n = len(buffered)
                 if defer_ok and n == 1 and not extra:
                     stream_tuple, direct_dst = buffered[0]
-                    if direct_dst is None:
+                    if direct_dst is None and acked:
+                        stream = stream_tuple.stream
+                        if lane is None:
+                            lane = self._single_hop_router(index.get(stream))
+                            if lane is not None:
+                                lane_stream = stream
+                                lane_hop = lane.next_hops[0]
+                                # Later calls post their ACK_INITs here.
+                                self._logging = True
+                            else:
+                                defer_ok = False
+                        if lane is not None and stream == lane_stream:
+                            lane_sent.append(len(log))
+                            log.append(stream_tuple)
+                            log_dsts.append(lane_hop)
+                            del buffered[:]
+                            emitted += 1
+                            continue
+                    elif direct_dst is None:
                         stream = stream_tuple.stream
                         edges = index.get(stream)
                         fast_router = self._single_hop_router(edges)
@@ -1002,8 +1135,9 @@ class WorkerExecutor:
                             fast_sink = True
                             continue
                         defer_ok = False
-            # Fallback: dispatch any deferred run first, then handle
-            # this iteration exactly as the per-tuple path would.
+            # Fallback: dispatch any deferred run or window log first,
+            # then handle this iteration exactly as the per-tuple path
+            # would.
             if pending:
                 cost = self._send_run(pending, fast_router, fast_bcast, cost)
                 marked += len(pending)
@@ -1013,6 +1147,10 @@ class WorkerExecutor:
                     plen = 0
                 else:
                     pending = []
+            if log:
+                cost = self._send_lane_log(cost, lane, lane_sent)
+                marked += len(lane_sent)
+                lane_sent.clear()
             if extra:
                 cost += extra
                 collector.extra_cost = 0.0
@@ -1083,6 +1221,10 @@ class WorkerExecutor:
         if pending:
             cost = self._send_run(pending, fast_router, fast_bcast, cost)
             marked += len(pending)
+        if log:
+            cost = self._send_lane_log(cost, lane, lane_sent)
+            marked += len(lane_sent)
+        self._logging = False
         if marked:
             stats.emitted += marked
             self.emitted_meter.mark(marked)
@@ -1117,6 +1259,25 @@ class WorkerExecutor:
         router.advance(len(run))
         return self.transport.send_interleaved(
             run, router.next_hops[0], app_compute, cost, uniform=True)
+
+    def _send_lane_log(self, cost: float, router: Optional[Router],
+                       sent: List[int]) -> float:
+        """Send an acked spout window's log (see _emit_spout_batch) and
+        fold ``cost += app_compute; cost += send total`` for each lane
+        tuple at log positions ``sent``; the ACK_INITs' totals are
+        dropped. The lane's one router advances as the per-tuple
+        ``route()`` calls would have."""
+        log = self._log_tuples
+        totals = self.transport.send_log(log, self._log_dsts)
+        app_compute = self.costs.app_compute_per_tuple
+        for i in sent:
+            cost += app_compute
+            cost += totals[i]
+        if sent:
+            router.advance(len(sent))
+        log.clear()
+        self._log_dsts.clear()
+        return cost
 
     def _route_each(self, batch: List[Tuple[StreamTuple, Any]], cost: float,
                     index: _EdgeIndex) -> Tuple[float, int]:
@@ -1468,20 +1629,39 @@ class WorkerExecutor:
         root_id = self.rng.getrandbits(64)
         edge_id = self._new_edge_id()
         self.pending_roots[root_id] = _PendingRoot(message_id, self.engine.now)
-        self._send_ack_message(ACK_INIT, root_id, edge_id)
+        self._post_ack_message(ACK_INIT, root_id, edge_id)
         return Anchor(root_id, edge_id)
+
+    def _ack_tuple(self, kind: str, root_id: int, value: int) -> StreamTuple:
+        """One acker message, built field by field (once per root and
+        per acked tuple)."""
+        message = StreamTuple.__new__(StreamTuple)
+        message.values = (kind, root_id, value, self.worker_id)
+        message.stream = ACK_STREAM
+        message.source_component = self.component_name
+        message.source_worker = self.worker_id
+        message.anchor = None
+        message.trace_id = None
+        message.seq = None
+        return message
 
     def _send_ack_message(self, kind: str, root_id: int, value: int) -> float:
         if not self.ackers:
             return 0.0
         acker = self.ackers[root_id % len(self.ackers)]
-        message = StreamTuple(
-            values=(kind, root_id, value, self.worker_id),
-            stream=ACK_STREAM,
-            source_component=self.component_name,
-            source_worker=self.worker_id,
-        )
-        return self.transport.send(message, [acker])
+        return self.transport.send(self._ack_tuple(kind, root_id, value),
+                                   [acker])
+
+    def _post_ack_message(self, kind: str, root_id: int, value: int) -> None:
+        """Send an acker message whose cost no one pays (ACK_INIT and an
+        explicit FAIL): into the window log while it is armed, else at
+        once."""
+        if self._logging:
+            ackers = self.ackers
+            self._log_tuples.append(self._ack_tuple(kind, root_id, value))
+            self._log_dsts.append(ackers[root_id % len(ackers)])
+        else:
+            self._send_ack_message(kind, root_id, value)
 
     def _handle_ack_tuple(self, stream_tuple: StreamTuple) -> float:
         kind = stream_tuple.values[0]

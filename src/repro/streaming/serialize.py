@@ -56,6 +56,7 @@ _T_BIGINT = 0x09  # ints outside the signed-64 range (e.g. 64-bit ack ids)
 
 _I64_MIN = -(2 ** 63)
 _I64_MAX = 2 ** 63 - 1
+_U64_END = 2 ** 64
 
 _U32 = struct.Struct("!I")
 _I64 = struct.Struct("!q")
@@ -68,6 +69,11 @@ _TAG_I64 = struct.Struct("!Bq")    # tag + i64
 _TAG_F64 = struct.Struct("!Bd")    # tag + f64
 _TAG_U32 = struct.Struct("!BI")    # tag + u32 (str/bytes/list/dict headers)
 _BIGINT_HEAD = struct.Struct("!BBI")  # tag + sign + u32 length
+#: A whole bigint record for ``2**63 <= v < 2**64`` (every 64-bit ack
+#: id above the signed range): tag, sign 0, length 9, then the 9-byte
+#: big-endian magnitude, whose leading byte is always zero (the ``x``
+#: pad). The same bytes the generic bigint branch writes, in one pack.
+_U64_BIGINT = struct.Struct("!BBIxQ")
 
 # Tuple envelope:
 #   stream(2) src_worker(4-signed) flags(1) nvalues(2) [anchor 16] [trace 8]
@@ -94,6 +100,7 @@ _SEQ = struct.Struct("!IQ")
 _PAD_TAG_U32 = bytes(_TAG_U32.size)
 _PAD_TAG_I64 = bytes(_TAG_I64.size)
 _PAD_BIGINT_HEAD = bytes(_BIGINT_HEAD.size)
+_PAD_U64_BIGINT = bytes(_U64_BIGINT.size)
 _PAD_ENVELOPE = bytes(_ENVELOPE.size)
 _PAD_ANCHOR = bytes(_ANCHOR.size)
 _PAD_TRACE = bytes(_TRACE.size)
@@ -134,6 +141,7 @@ def _encode_many(values, out: bytearray,
                  _pack_f64=_TAG_F64.pack_into,
                  _pack_u32=_TAG_U32.pack_into,
                  _pack_big=_BIGINT_HEAD.pack_into,
+                 _pack_u64=_U64_BIGINT.pack_into,
                  _len=len, _type=type, _isinstance=isinstance) -> None:
     """Encode a run of values; scalars cost zero Python function calls
     (the encoder recurses only for containers). Exact-type dispatch is
@@ -177,6 +185,10 @@ def _encode_many(values, out: bytearray,
                 pos = _len(out)
                 out += _PAD_TAG_I64
                 _pack_i64(out, pos, _T_INT, value)
+            elif _I64_MAX < value < _U64_END:
+                pos = _len(out)
+                out += _PAD_U64_BIGINT
+                _pack_u64(out, pos, _T_BIGINT, 0, 9, value)
             else:
                 magnitude = abs(value)
                 body = magnitude.to_bytes((magnitude.bit_length() + 8) // 8,
@@ -375,6 +387,7 @@ def encode_tuple_scalar(
     _pack_f64=_TAG_F64.pack_into,
     _pack_u32=_TAG_U32.pack_into,
     _pack_big=_BIGINT_HEAD.pack_into,
+    _pack_u64=_U64_BIGINT.pack_into,
     _len=len, _type=type,
     _memo=[None, None, None, b""],
 ) -> Tuple[bytes, bool]:
@@ -451,6 +464,10 @@ def encode_tuple_scalar(
                 pos = _len(out)
                 out += _PAD_TAG_I64
                 _pack_i64(out, pos, _T_INT, value)
+            elif _I64_MAX < value < _U64_END:
+                pos = _len(out)
+                out += _PAD_U64_BIGINT
+                _pack_u64(out, pos, _T_BIGINT, 0, 9, value)
             else:
                 magnitude = abs(value)
                 body = magnitude.to_bytes((magnitude.bit_length() + 8) // 8,
@@ -493,11 +510,13 @@ def encode_train(
     _pack_f64=_TAG_F64.pack_into,
     _pack_u32=_TAG_U32.pack_into,
     _pack_big=_BIGINT_HEAD.pack_into,
+    _pack_u64=_U64_BIGINT.pack,
     _pack_rec=_RECORD_LEN.pack_into,
+    _pack_anchor=_ANCHOR.pack,
     _len=len, _type=type,
 ):
-    """Serialize a whole train of plain tuples into one contiguous,
-    length-prefixed buffer in a single pass.
+    """Serialize a whole train of plain or anchored tuples into one
+    contiguous, length-prefixed buffer in a single pass.
 
     Returns ``(data, bounds, rlens, ests, objs, stream)``:
 
@@ -528,11 +547,13 @@ def encode_train(
       common single-stream train pays nothing per tuple. Receivers use
       it to hand a whole uniform train to a component's batch hook.
 
-    Returns ``None`` outright when any tuple in the train carries an
-    anchor, trace or sequencing stamp (checked inline, so the clean
-    common case pays no separate scan pass). Those stamps only appear
-    when acking, tracing or replication is armed; stamped batches fall
-    back to the caller's per-tuple loop.
+    An anchored tuple's record carries the anchored flag and the
+    16-byte anchor after its envelope, exactly as :func:`encode_tuple`
+    writes it, so acked traffic trains too. Returns ``None`` outright
+    when any tuple in the train carries a trace or sequencing stamp
+    (checked inline, so the clean common case pays no separate scan
+    pass). Those stamps only appear when tracing or replication is
+    armed; stamped batches fall back to the caller's per-tuple loop.
     """
     buf = bytearray()
     bounds: list = [0]   # record prefix offsets; n+1 entries
@@ -544,25 +565,27 @@ def encode_train(
     keep_len = rlens.append
     keep_est = ests.append
     est = 0
-    prev_stream = prev_src = prev_n = None
+    prev_stream = prev_src = prev_n = prev_flags = None
     train_stream = None
     mixed = False
     head = b""
     for stream_tuple in stream_tuples:
-        if stream_tuple.anchor is not None \
-                or stream_tuple.trace_id is not None \
+        if stream_tuple.trace_id is not None \
                 or stream_tuple.seq is not None:
             return None
+        anchor = stream_tuple.anchor
+        flags = 0 if anchor is None else _FLAG_ANCHORED
         values = stream_tuple.values
         stream = stream_tuple.stream
         src = stream_tuple.source_worker
         nvalues = _len(values)
-        if stream != prev_stream or src != prev_src or nvalues != prev_n:
-            key = (stream, src, nvalues)
+        if stream != prev_stream or src != prev_src or nvalues != prev_n \
+                or flags != prev_flags:
+            key = (stream, src, nvalues, flags)
             head = _TRAIN_HEAD_CACHE.get(key)
             if head is None:
                 head = bytearray(_PAD_ENVELOPE)
-                _ENVELOPE.pack_into(head, 0, stream, src, 0, nvalues)
+                _ENVELOPE.pack_into(head, 0, stream, src, flags, nvalues)
                 head = _PAD_RECORD_LEN + bytes(head)
                 if _len(_TRAIN_HEAD_CACHE) >= _ENVELOPE_CACHE_MAX:
                     _TRAIN_HEAD_CACHE.clear()
@@ -574,8 +597,11 @@ def encode_train(
             prev_stream = stream
             prev_src = src
             prev_n = nvalues
+            prev_flags = flags
         start = _len(buf)
         buf += head
+        if anchor is not None:
+            buf += _pack_anchor(anchor.root_id, anchor.edge_id)
         est += 80
         obj = stream_tuple
         for value in values:
@@ -606,6 +632,8 @@ def encode_train(
                 est += 8
                 if _I64_MIN <= value <= _I64_MAX:
                     buf += _pack_i64(_T_INT, value)
+                elif _I64_MAX < value < _U64_END:
+                    buf += _pack_u64(_T_BIGINT, 0, 9, value)
                 else:
                     magnitude = abs(value)
                     body = magnitude.to_bytes(
@@ -636,7 +664,8 @@ def encode_train(
             else:
                 # Container or subclass value mid-record: rewind to just
                 # past the length prefix and let the generic encoder redo
-                # the one tuple (rare path; not fast-lane eligible). The
+                # the one tuple, anchor included (rare path; not
+                # fast-lane eligible). The
                 # estimate for this record is moot — a train with any
                 # non-fast record never rides the annotation fast lane.
                 del buf[start + 4:]
@@ -668,6 +697,7 @@ def encode_train_uniform(
     _pack_f64=_TAG_F64.pack_into,
     _pack_u32=_TAG_U32.pack_into,
     _pack_big=_BIGINT_HEAD.pack_into,
+    _pack_u64=_U64_BIGINT.pack,
     _pack_rec=_RECORD_LEN.pack_into,
     _len=len, _type=type,
 ):
@@ -705,7 +735,7 @@ def encode_train_uniform(
         values = stream_tuple.values
         nvalues = _len(values)
         if nvalues != prev_n:
-            key = (stream, src, nvalues)
+            key = (stream, src, nvalues, 0)
             head = head_cache.get(key)
             if head is None:
                 head = bytearray(_PAD_ENVELOPE)
@@ -746,6 +776,8 @@ def encode_train_uniform(
                 est += 8
                 if _I64_MIN <= value <= _I64_MAX:
                     buf += _pack_i64(_T_INT, value)
+                elif _I64_MAX < value < _U64_END:
+                    buf += _pack_u64(_T_BIGINT, 0, 9, value)
                 else:
                     magnitude = abs(value)
                     body = magnitude.to_bytes(

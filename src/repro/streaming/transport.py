@@ -132,6 +132,17 @@ class Transport:
             cost += self.send(stream_tuple, dsts)
         return cost
 
+    def send_log(self, stream_tuples: Sequence[StreamTuple],
+                 dsts: Sequence[int]) -> List[float]:
+        """Send a processing window's log: the messages the executor
+        held back, each to its one destination, in send order. Returns
+        each message's own send total, so the executor can fold the
+        costs in their per-tuple association. This default is literally
+        the per-tuple loop; Typhoon sends the log as per-destination
+        trains."""
+        return [self.send(stream_tuple, [dst])
+                for stream_tuple, dst in zip(stream_tuples, dsts)]
+
     def send_broadcast(self, stream_tuple: StreamTuple,
                        dst_worker_ids: Sequence[int]) -> float:
         """One-to-many send. Typhoon sends one record to the broadcast

@@ -14,7 +14,6 @@ tuples (Table 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
 # -- well-known stream ids ----------------------------------------------------
@@ -40,12 +39,48 @@ def is_signal_stream(stream_id: int) -> bool:
     return stream_id == SIGNAL_STREAM
 
 
-@dataclass(frozen=True)
 class Anchor:
-    """Ack-tree anchor: the tuple's root id and its own edge id."""
+    """Ack-tree anchor: the tuple's root id and its own edge id.
 
-    root_id: int
-    edge_id: int
+    An immutable ``__slots__`` record rather than a frozen dataclass:
+    one is built per acked root, per anchored child and per anchored
+    decode, and the frozen dataclass's ``object.__setattr__`` calls
+    cost about twice this constructor. Equality, hash and repr match
+    the dataclass exactly; assigning a field raises ``AttributeError``.
+    """
+
+    __slots__ = ("root_id", "edge_id")
+
+    def __init__(self, root_id: int, edge_id: int):
+        _set_root_id(self, root_id)
+        _set_edge_id(self, edge_id)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not Anchor:
+            return NotImplemented
+        return (self.root_id == other.root_id
+                and self.edge_id == other.edge_id)
+
+    def __hash__(self) -> int:
+        return hash((self.root_id, self.edge_id))
+
+    def __repr__(self) -> str:
+        return "Anchor(root_id=%r, edge_id=%r)" % (self.root_id,
+                                                   self.edge_id)
+
+    def __reduce__(self):
+        return Anchor, (self.root_id, self.edge_id)
+
+
+# The slot descriptors' setters bypass the raising __setattr__.
+_set_root_id = Anchor.root_id.__set__
+_set_edge_id = Anchor.edge_id.__set__
 
 
 class StreamTuple:

@@ -10,7 +10,9 @@ an *optimization*, not a semantic change. These tests pin that down:
   batch size 1);
 * end-to-end runs with the fused path forced off (train encode disabled
   *and* component batch hooks removed) produce identical delivered
-  counts, sequence-check results and delivery-ledger totals;
+  counts, sequence-check results and delivery-ledger totals, acked runs
+  (whose window logs then go out one record per tuple) identical ack
+  latencies too;
 * the batch component hooks never engage where they would be unsound
   (guaranteed processing), and batch-granularity faults stay
   deterministic.
@@ -134,13 +136,42 @@ def test_encode_train_uniform_container_delegates():
     assert objs is not None and objs[4] is None and objs[3] is batch[3]
 
 
-def test_encode_train_refuses_stamped_tuples():
+def _anchored(rng, values, stream=0, src=3):
+    return StreamTuple(values=values, stream=stream, source_worker=src,
+                       anchor=Anchor(rng.getrandbits(64),
+                                     rng.getrandbits(64)))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_encode_train_anchored_records_match_per_tuple_bytes(seed):
+    """Anchored records carry the flag and the 16-byte anchor, exactly
+    as encode_tuple writes them: all-anchored, mixed anchored/plain,
+    and trains whose envelope changes only in the anchored flag."""
+    rng = random.Random(seed)
+    anchored = [_anchored(rng, st.values)
+                for st in _random_batch(rng, 12, containers=True)]
+    mixed = [_anchored(rng, st.values) if rng.random() < 0.5 else st
+             for st in _random_batch(rng, 30)]
+    # Same stream, source and width throughout: only the flag changes.
+    flips = []
+    for i in range(8):
+        plain = StreamTuple(values=("w", i), stream=0, source_worker=3)
+        flips += [plain, _anchored(rng, ("w", i)), _anchored(rng, ("w", i))]
+    for batch in (anchored, mixed, flips):
+        train = encode_train(batch)
+        assert train is not None
+        assert train[0] == _per_tuple_frame_bytes(batch)
+        assert train[2] == [len(encode_tuple(st)) for st in batch]
+
+
+def test_encode_train_refuses_traced_and_sequenced_tuples():
     plain = StreamTuple(values=("a", 1))
     anchored = StreamTuple(values=("a", 1), anchor=Anchor(5, 6))
     traced = StreamTuple(values=("a", 1), trace_id=9)
     sequenced = StreamTuple(values=("a", 1), seq=(1, 2))
-    for stamped in (anchored, traced, sequenced):
-        assert encode_train([plain, stamped, plain]) is None
+    both = StreamTuple(values=("a", 1), anchor=Anchor(5, 6), trace_id=9)
+    for stamped in (traced, sequenced, both):
+        assert encode_train([plain, anchored, stamped, plain]) is None
 
 
 def test_mixed_stream_train_reports_no_stream():
@@ -165,11 +196,13 @@ def _force_per_tuple(monkeypatch):
     monkeypatch.setattr(NullSinkBolt, "execute_batch", None)
 
 
-def _run_forwarding(seed=0, batch_size=100, until=3.2, acking=False):
+def _run_forwarding(seed=0, batch_size=100, until=3.2, acking=False,
+                    hosts=1, rate=None):
     engine = Engine()
-    cluster = TyphoonCluster(engine, num_hosts=1, seed=seed)
+    cluster = TyphoonCluster(engine, num_hosts=hosts, seed=seed)
     config = TopologyConfig(batch_size=batch_size, acking=acking,
-                            num_ackers=1 if acking else 0)
+                            num_ackers=1 if acking else 0,
+                            max_spout_rate=rate)
     cluster.submit(forwarding_topology("fwd", config))
     engine.run(until=until)
     source = cluster.executors_for("fwd", "source")[0]
@@ -185,6 +218,10 @@ def _run_forwarding(seed=0, batch_size=100, until=3.2, acking=False):
             "delivered": dict(cluster.ledger.delivered),
             "drops": dict(cluster.ledger.drops),
         },
+        # Exact virtual time of every ack completion.
+        "latencies": source.latency_dist.samples(),
+        "now": engine.now,
+        "events": engine.stats()["events_executed"],
     }
 
 
@@ -217,6 +254,24 @@ def test_forwarding_fused_equals_forced_per_tuple(monkeypatch, batch_size):
     assert fused == forced
     assert fused["out_of_order"] == 0
     assert fused["processed"] > 0
+
+
+@pytest.mark.parametrize("hosts", [1, 2])
+@pytest.mark.parametrize("batch_size", [1, 7, 100])
+def test_acked_forwarding_fused_equals_forced_per_tuple(monkeypatch,
+                                                        batch_size, hosts):
+    """Acked windows send their ACK_INIT, data, ACK and COMPLETE logs as
+    trains; with train encoding forced off the same logs go out one
+    record per tuple. Deliveries, acks and every ack latency agree."""
+    run = dict(seed=7, batch_size=batch_size, until=3.0, acking=True,
+               hosts=hosts, rate=4000.0)
+    fused = _run_forwarding(**run)
+    with monkeypatch.context() as patch:
+        _force_per_tuple(patch)
+        forced = _run_forwarding(**run)
+    assert fused == forced
+    assert fused["out_of_order"] == 0
+    assert len(fused["latencies"]) > 0
 
 
 def test_broadcast_fused_equals_forced_per_tuple(monkeypatch):

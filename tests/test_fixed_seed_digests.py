@@ -138,11 +138,12 @@ def cluster_snapshot(cluster: TyphoonCluster,
 
 
 def _forwarding(hosts: int, acking: bool = False,
-                rate: Optional[float] = None, until: float = 2.15):
+                rate: Optional[float] = None, until: float = 2.15,
+                ackers: int = 1, batch_size: int = 100):
     engine = Engine()
     cluster = TyphoonCluster(engine, num_hosts=hosts, seed=0)
-    config = TopologyConfig(batch_size=100, acking=acking,
-                            num_ackers=1 if acking else 0,
+    config = TopologyConfig(batch_size=batch_size, acking=acking,
+                            num_ackers=ackers if acking else 0,
                             max_spout_rate=rate)
     deliveries = deploy(cluster, forwarding_topology("fwd", config))
     engine.run(until=until)
@@ -161,8 +162,23 @@ def run_fwd_remote():
 
 
 def run_fwd_acked_remote():
-    """Anchored tuples: per-tuple ``send``, acker XOR folds, tunnel."""
+    """Acked windows: each window's ACK_INIT, anchored data, ACK_ACK and
+    COMPLETE sends go out through ``send_log`` as trains; acker XOR
+    folds, tunnel."""
     return _forwarding(hosts=2, acking=True, rate=20000.0, until=2.8)
+
+
+def run_fwd_acked_two_ackers():
+    """Two ackers: a window's ACK_INITs and ACK_ACKs alternate between
+    two acker buffers by root id."""
+    return _forwarding(hosts=2, acking=True, rate=20000.0, until=2.8,
+                       ackers=2)
+
+
+def run_fwd_acked_batch7():
+    """Batch size 7: flush points fall inside every processing window."""
+    return _forwarding(hosts=2, acking=True, rate=20000.0, until=2.8,
+                       batch_size=7)
 
 
 def run_bcast_k4():
@@ -220,9 +236,15 @@ def run_relay_unicast():
     return _relay_chain(acking=False, broadcast=False)
 
 
+def run_relay_acked_unicast():
+    """Anchored bolt re-emission on a single-hop edge: the relay sends
+    data and ACK_ACK per input, the acker COMPLETEs per root."""
+    return _relay_chain(acking=True, broadcast=False)
+
+
 def run_relay_acked_broadcast():
-    """Anchored bolt broadcasts: the batched broadcast send refuses a
-    train and replays the batch per tuple."""
+    """Anchored bolt broadcasts: the batched broadcast send encodes the
+    anchored batch as one train, which the switch replicates."""
     return _relay_chain(acking=True, broadcast=True)
 
 
@@ -262,8 +284,11 @@ SHAPES: Dict[str, Callable[[], Dict[str, Any]]] = {
     "fwd-local": run_fwd_local,
     "fwd-remote": run_fwd_remote,
     "fwd-acked-remote": run_fwd_acked_remote,
+    "fwd-acked-two-ackers": run_fwd_acked_two_ackers,
+    "fwd-acked-batch7": run_fwd_acked_batch7,
     "bcast-k4": run_bcast_k4,
     "relay-unicast": run_relay_unicast,
+    "relay-acked-unicast": run_relay_acked_unicast,
     "relay-acked-broadcast": run_relay_acked_broadcast,
     "lb-select": run_lb_select,
     "stats-monitor": run_stats_monitor,

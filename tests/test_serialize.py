@@ -1,5 +1,7 @@
 """Unit + property tests for the tuple codec."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -116,3 +118,47 @@ def test_encoding_is_deterministic(values):
     first = encode_values(tuple(values))
     second = encode_values(tuple(values))
     assert first == second
+
+
+def _generic_bigint_record(value):
+    """The bigint branch every encoder takes outside the signed-64
+    range: tag, sign byte, u32 length, then the big-endian magnitude
+    with one spare leading byte."""
+    magnitude = abs(value)
+    body = magnitude.to_bytes((magnitude.bit_length() + 8) // 8, "big")
+    return (bytes([0x09, 1 if value < 0 else 0])
+            + len(body).to_bytes(4, "big") + body)
+
+
+_INT_EDGES = (2**63 - 1, 2**63, 2**64 - 1, 2**64, -(2**63) - 1, -(2**63))
+
+
+@settings(max_examples=200)
+@given(st.one_of(st.sampled_from(_INT_EDGES),
+                 st.integers(min_value=0, max_value=2**64 - 1),
+                 st.integers(min_value=-(2**90), max_value=2**90)))
+def test_u64_single_pack_matches_generic_bigint_branch(value):
+    """64-bit unsigned ids above the signed range are written with one
+    pack; every encoder must still emit the generic branch's bytes."""
+    from repro.streaming.serialize import (
+        encode_train,
+        encode_train_uniform,
+        encode_tuple_scalar,
+    )
+
+    stream_tuple = StreamTuple(("ack", value, value), stream=2,
+                               source_worker=5)
+    if -(2**63) <= value < 2**63:
+        record = bytes([0x03]) + value.to_bytes(8, "big", signed=True)
+    else:
+        record = _generic_bigint_record(value)
+    # Envelope (stream 2, source 5, no flags, 3 values), then "ack".
+    expected = (struct.pack("!HiBH", 2, 5, 0, 3) + encode_values(("ack",))
+                + record + record)
+    assert encode_values((value,)) == record
+    assert encode_tuple(stream_tuple) == expected
+    assert encode_tuple_scalar(stream_tuple) == (expected, True)
+    for train in (encode_train([stream_tuple]),
+                  encode_train_uniform([stream_tuple], 2, 5)):
+        assert train[0] == len(expected).to_bytes(4, "big") + expected
+    assert decode_tuple(expected).values == ("ack", value, value)
