@@ -30,6 +30,7 @@ from ..sim.audit import (
     ConservationReport,
     DeliveryLedger,
 )
+from .io_layer import train_window
 from .packets import Fragment, unpack_payload
 
 __all__ = [
@@ -47,7 +48,10 @@ def typhoon_frame_tuples(frame: object) -> Optional[Tuple[int, int]]:
     """Ledger inspector: ``(scope, tuple_count)`` for a Typhoon frame.
 
     Control frames name the controller/broadcast pseudo-application in
-    ``src``; their tuples belong to the destination's application.
+    ``src``; their tuples belong to the destination's application. A
+    frame whose train annotation agrees with its payload is counted
+    from the annotation's window (:func:`~.io_layer.train_window`)
+    instead of re-parsing the payload.
     """
     if not isinstance(frame, EthernetFrame):
         return None
@@ -55,6 +59,9 @@ def typhoon_frame_tuples(frame: object) -> Optional[Tuple[int, int]]:
         scope = frame.dst.app_id
     else:
         scope = frame.src.app_id
+    window = train_window(frame)
+    if window is not None:
+        return scope, len(window)
     decoded = unpack_payload(frame.payload)
     if isinstance(decoded, Fragment):
         return scope, (1 if decoded.offset == 0 else 0)

@@ -216,6 +216,30 @@ class _TrainAnnotation:
         self.claimed = False
 
 
+def train_window(frame: EthernetFrame) -> Optional[List[int]]:
+    """Record lengths of the tuples a frame's train annotation names,
+    when the annotation agrees with the payload, else ``None``.
+
+    The frame inspectors (delivery ledger, tracer) read the window
+    instead of re-parsing every replicated frame. It is trusted only
+    when the payload is a MULTI whose count is the window's size and
+    whose length is the 3-byte head plus a ``u32`` prefix and the bytes
+    of each record; anything else returns ``None`` so the caller takes
+    the validating :func:`~repro.core.packets.unpack_payload` walk.
+    Record ``k`` of the window then starts at ``3 + 4 * (k + 1)`` plus
+    the lengths before it."""
+    annotation = frame.tuples
+    if annotation is None:
+        return None
+    rlens = annotation.rlens[annotation.start:annotation.end]
+    count = len(rlens)
+    payload = frame.payload
+    if len(payload) != _MULTI_HEAD.size + 4 * count + sum(rlens) \
+            or _MULTI_HEAD.unpack_from(payload) != (KIND_MULTI, count):
+        return None
+    return rlens
+
+
 class _TrainChunk:
     """A contiguous run of records from one encoded train.
 

@@ -24,7 +24,8 @@ from typing import Dict, Optional, Tuple
 from ..net.ethernet import EthernetFrame
 from ..sim.trace import TraceReport, Tracer
 from ..streaming.serialize import peek_trace_id
-from .packets import Fragment, unpack_payload
+from .io_layer import train_window
+from .packets import _MULTI_HEAD, Fragment, unpack_payload
 
 __all__ = [
     "TraceReport",
@@ -39,10 +40,25 @@ def frame_trace_ids(frame: object) -> Tuple[int, ...]:
     """Tracer inspector: trace ids of sampled tuples inside a frame.
 
     A fragment contributes its id only on the head chunk; trailing
-    fragments are anonymous, like in the audit layer.
+    fragments are anonymous, like in the audit layer. A frame whose
+    train annotation agrees with its payload has its records read in
+    place through the annotation's window (shared with the audit
+    inspector) instead of re-parsing the payload.
     """
     if not isinstance(frame, EthernetFrame):
         return ()
+    window = train_window(frame)
+    if window is not None:
+        payload = frame.payload
+        ids = []
+        offset = _MULTI_HEAD.size
+        for rlen in window:
+            offset += 4   # the record's u32 length prefix
+            trace_id = peek_trace_id(payload, offset, rlen)
+            if trace_id is not None:
+                ids.append(trace_id)
+            offset += rlen
+        return tuple(ids)
     decoded = unpack_payload(frame.payload)
     if isinstance(decoded, Fragment):
         if decoded.offset != 0:

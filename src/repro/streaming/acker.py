@@ -26,7 +26,6 @@ Two hardening layers beyond the bare scheme:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from .executor import ACK_ACK, ACK_COMPLETE, ACK_FAIL, ACK_INIT
@@ -36,13 +35,19 @@ from .tuples import ACK_STREAM, StreamTuple
 ACKER_COMPONENT = "__acker__"
 
 
-@dataclass
 class _Ledger:
-    value: int
-    spout_worker: int
-    created: float = 0.0   # for per-root age tracking
-    touched: float = 0.0   # last activity; expiry sweeps key off this
-    failed: bool = False   # FAIL seen before INIT (notify spout on INIT)
+    """One root's XOR ledger. A ``__slots__`` record: one is built per
+    acked root, so construction is on the acked data path."""
+
+    __slots__ = ("value", "spout_worker", "created", "touched", "failed")
+
+    def __init__(self, value: int, spout_worker: int, created: float = 0.0,
+                 touched: float = 0.0, failed: bool = False):
+        self.value = value
+        self.spout_worker = spout_worker
+        self.created = created   # for per-root age tracking
+        self.touched = touched   # last activity; expiry sweeps key off this
+        self.failed = failed     # FAIL seen before INIT (notify spout on INIT)
 
 
 class AckerBolt(Bolt):
@@ -63,18 +68,17 @@ class AckerBolt(Bolt):
     def open(self, ctx: ComponentContext) -> None:
         self._now = ctx.services.get("now")
 
-    def _time(self) -> float:
-        return self._now() if self._now is not None else 0.0
-
     def execute(self, stream_tuple: StreamTuple, collector: EmitterApi) -> None:
         kind, root_id, value, src_worker = stream_tuple.values
-        now = self._time()
+        # The bound clock service; ackers built without open() (unit
+        # tests) read 0.0.
+        clock = self._now
+        now = clock() if clock is not None else 0.0
         if kind == ACK_INIT:
             self.initialized += 1
             existing = self.ledgers.get(root_id)
             if existing is None:
-                self.ledgers[root_id] = _Ledger(value, src_worker,
-                                                created=now, touched=now)
+                self.ledgers[root_id] = _Ledger(value, src_worker, now, now)
             elif existing.failed:
                 # A bolt FAILed this root before its INIT arrived.
                 del self.ledgers[root_id]
@@ -84,38 +88,38 @@ class AckerBolt(Bolt):
                 existing.value ^= value
                 existing.spout_worker = src_worker
                 existing.touched = now
-                self._maybe_complete(root_id, now, collector)
+                if existing.value == 0 and src_worker >= 0:
+                    self._complete(root_id, existing, now, collector)
         elif kind == ACK_ACK:
             ledger = self.ledgers.get(root_id)
             if ledger is None:
                 # Ack before init: remember the partial XOR.
-                self.ledgers[root_id] = _Ledger(value, -1,
-                                                created=now, touched=now)
+                self.ledgers[root_id] = _Ledger(value, -1, now, now)
             else:
                 ledger.value ^= value
                 ledger.touched = now
-                self._maybe_complete(root_id, now, collector)
+                if ledger.value == 0 and ledger.spout_worker >= 0:
+                    self._complete(root_id, ledger, now, collector)
         elif kind == ACK_FAIL:
             self.failed += 1
             ledger = self.ledgers.get(root_id)
             if ledger is None:
                 # Fail before init: leave a tombstone so the INIT (which
                 # carries the spout worker id) triggers the notification.
-                self.ledgers[root_id] = _Ledger(0, -1, created=now,
-                                                touched=now, failed=True)
+                self.ledgers[root_id] = _Ledger(0, -1, now, now, True)
             elif ledger.spout_worker < 0:
                 ledger.failed = True
                 ledger.touched = now
             else:
                 del self.ledgers[root_id]
                 self._notify_fail(root_id, ledger.spout_worker, collector)
-        self._sweep(now)
+        if self.expiry is not None and now >= self._next_sweep:
+            self._sweep(now)
 
-    def _maybe_complete(self, root_id: int, now: float,
-                        collector: EmitterApi) -> None:
-        ledger = self.ledgers.get(root_id)
-        if ledger is None or ledger.value != 0 or ledger.spout_worker < 0:
-            return
+    def _complete(self, root_id: int, ledger: _Ledger, now: float,
+                  collector: EmitterApi) -> None:
+        """The root's ledger reached zero with its spout known: drop it
+        and send COMPLETE to the spout."""
         del self.ledgers[root_id]
         self.completed += 1
         age = max(0.0, now - ledger.created)
@@ -140,9 +144,8 @@ class AckerBolt(Bolt):
         """Lazily evict ledgers idle past the expiry horizon. Runs at
         most every ``expiry / 4`` so long-lived ackers stay O(traffic),
         and only off virtual time — no timers, no RNG, so topologies
-        without leaks behave identically with or without expiry."""
-        if self.expiry is None or now < self._next_sweep:
-            return
+        without leaks behave identically with or without expiry. The
+        caller checks that a sweep is due."""
         self._next_sweep = now + self.expiry / 4
         horizon = now - self.expiry
         stale = [root for root, ledger in self.ledgers.items()

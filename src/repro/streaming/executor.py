@@ -225,13 +225,16 @@ class _Collector(EmitterApi):
     def emit_direct(self, worker_id: int, values: Sequence[Any],
                     stream: int = DEFAULT_STREAM) -> None:
         """Send straight to one worker id, bypassing edge routing (used by
-        the acker to notify the originating spout)."""
-        out = StreamTuple(
-            values=tuple(values),
-            stream=stream,
-            source_component=self._executor.component_name,
-            source_worker=self._executor.worker_id,
-        )
+        the acker to notify the originating spout). Built field by field,
+        as :meth:`emit` does: it carries every COMPLETE and FAIL."""
+        out = StreamTuple.__new__(StreamTuple)
+        out.values = values if type(values) is tuple else tuple(values)
+        out.stream = stream
+        out.source_component = self._component_name
+        out.source_worker = self._worker_id
+        out.anchor = None
+        out.trace_id = None
+        out.seq = None
         self.buffered.append((out, worker_id))
 
     def ack(self, stream_tuple: StreamTuple) -> None:
@@ -603,6 +606,8 @@ class WorkerExecutor:
         if self._rep_dedup is not None:
             return self._dedup_delivery(delivery)
         cost = delivery.cost
+        if self.is_spout:
+            return self._spout_delivery(delivery.tuples, cost)
         tracer = self.tracer
         if tracer is not None and tracer.enabled:
             # Traced runs take the one-call-per-tuple path so hop
@@ -615,7 +620,9 @@ class WorkerExecutor:
                     cost += self._run_component(stream_tuple, signal=True)
                     continue
                 if stream_tuple.stream == ACK_STREAM:
-                    cost += self._handle_ack_tuple(stream_tuple)
+                    # The acker's input: it runs the component like any
+                    # tuple, but a crash does not end the delivery.
+                    cost += self._run_component(stream_tuple, signal=False)
                     continue
                 cost += self._run_component(stream_tuple, signal=False)
                 if not self.alive:
@@ -675,15 +682,13 @@ class WorkerExecutor:
         # ``tcost + send totals`` is folded into ``cost`` once the log
         # is sent (DESIGN.md §5i). Any other send first sends the log.
         collector = self.collector
-        # Spouts have no execute(); a data tuple reaching one takes the
-        # _run_component path, which crashes the worker exactly as before.
+        # A component without execute() takes the _run_component path,
+        # which crashes the worker.
         execute = getattr(self.component, "execute", None)
         billed = self._billed_services
         app_compute = self.costs.app_compute_per_tuple
         stats = self.stats
-        acking = self.acking
-        spout = self.is_spout
-        logging = acking and not spout
+        logging = self.acking
         if logging:
             log = self._log_tuples
             log_dsts = self._log_dsts
@@ -700,7 +705,7 @@ class WorkerExecutor:
             # band, so the data-path common case (stream 0) pays one
             # failed comparison instead of three. A bolt's ack input is
             # the acker's data: it runs the component like any tuple.
-            if 1 <= stream <= 3 and (stream != ACK_STREAM or spout):
+            if 1 <= stream <= 3 and stream != ACK_STREAM:
                 if processed or emitted:
                     self._mark(processed, emitted)
                     processed = emitted = 0
@@ -710,10 +715,8 @@ class WorkerExecutor:
                     self._logging = False
                 if stream == CONTROL_STREAM:
                     cost += self._handle_control(stream_tuple)
-                elif stream == SIGNAL_STREAM:
-                    cost += self._run_component(stream_tuple, signal=True)
                 else:
-                    cost += self._handle_ack_tuple(stream_tuple)
+                    cost += self._run_component(stream_tuple, signal=True)
                 if logging:
                     self._logging = True
                 continue
@@ -726,7 +729,7 @@ class WorkerExecutor:
                     break
                 continue
             collector.current_input = stream_tuple
-            if acking:
+            if logging:
                 # child_xor only feeds the ack value below; skip the
                 # per-tuple reset when no one reads it.
                 collector.child_xor = 0
@@ -1434,10 +1437,9 @@ class WorkerExecutor:
             if 1 <= stream <= 3:
                 if stream == CONTROL_STREAM:
                     cost += self._handle_control(stream_tuple)
-                elif stream == SIGNAL_STREAM:
-                    cost += self._run_component(stream_tuple, signal=True)
                 else:
-                    cost += self._handle_ack_tuple(stream_tuple)
+                    cost += self._run_component(stream_tuple,
+                                                signal=stream == SIGNAL_STREAM)
                 continue
             seq = stream_tuple.seq
             if seq is None:
@@ -1531,10 +1533,9 @@ class WorkerExecutor:
             if 1 <= stream <= 3:
                 if stream == CONTROL_STREAM:
                     cost += self._handle_control(stream_tuple)
-                elif stream == SIGNAL_STREAM:
-                    cost += self._run_component(stream_tuple, signal=True)
                 else:
-                    cost += self._handle_ack_tuple(stream_tuple)
+                    cost += self._run_component(stream_tuple,
+                                                signal=stream == SIGNAL_STREAM)
                 continue
             seq = stream_tuple.seq
             if seq is not None:
@@ -1663,42 +1664,69 @@ class WorkerExecutor:
         else:
             self._send_ack_message(kind, root_id, value)
 
-    def _handle_ack_tuple(self, stream_tuple: StreamTuple) -> float:
-        kind = stream_tuple.values[0]
-        if kind == ACK_COMPLETE and self.is_spout:
-            root_id = stream_tuple.values[1]
-            pending = self.pending_roots.pop(root_id, None)
-            if self.replay is not None:
-                # The buffer arbitrates: only the first completion of a
-                # message (possibly via a root a *previous* incarnation
-                # emitted) acks the component; later completions of
-                # superseded roots are dropped silently.
-                message_id, first = self.replay.on_complete(root_id)
-                if first:
-                    if pending is not None:
-                        self.latency_dist.record(
-                            self.engine.now - pending.emit_time)
+    def _spout_delivery(self, tuples: List[StreamTuple],
+                        cost: float) -> float:
+        """A spout's intake, traced or not, and its one completion loop.
+
+        A COMPLETE records the root's latency and acks the component; a
+        FAIL fails the root (replay or the component's ``fail``). With
+        the replay buffer on, it arbitrates which completion settles a
+        message. Unknown roots settle nothing. Each costs
+        ``ack_per_tuple``, added to ``cost`` in tuple order. Control
+        and signal tuples take their handlers. Any other tuple runs the
+        component, which has no ``execute``, so the worker crashes."""
+        pop_pending = self.pending_roots.pop
+        replay = self.replay
+        record = self.latency_dist.record
+        component = self.component
+        now = self.engine.now
+        ack_cost = self.costs.ack_per_tuple
+        for stream_tuple in tuples:
+            stream = stream_tuple.stream
+            if stream != ACK_STREAM:
+                if stream == CONTROL_STREAM:
+                    cost += self._handle_control(stream_tuple)
+                elif stream == SIGNAL_STREAM:
+                    cost += self._run_component(stream_tuple, signal=True)
+                else:
+                    cost += self._run_component(stream_tuple, signal=False)
+                    if not self.alive:
+                        break
+                continue
+            values = stream_tuple.values
+            kind = values[0]
+            if kind == ACK_COMPLETE:
+                pending = pop_pending(values[1], None)
+                if replay is not None:
+                    # Only the first completion of a message (possibly
+                    # via a root a *previous* incarnation emitted) acks
+                    # the component; later completions of superseded
+                    # roots are dropped silently.
+                    message_id, first = replay.on_complete(values[1])
+                    if first:
+                        if pending is not None:
+                            record(now - pending.emit_time)
+                        try:
+                            component.ack(message_id)
+                        except Exception:
+                            pass
+                elif pending is not None:
+                    record(now - pending.emit_time)
                     try:
-                        self.component.ack(message_id)
+                        component.ack(pending.message_id)
                     except Exception:
                         pass
-            elif pending is not None:
-                self.latency_dist.record(self.engine.now - pending.emit_time)
-                try:
-                    self.component.ack(pending.message_id)
-                except Exception:
-                    pass
-            return self.costs.ack_per_tuple
-        if kind == ACK_FAIL and self.is_spout:
-            root_id = stream_tuple.values[1]
-            pending = self.pending_roots.pop(root_id, None)
-            if pending is not None or (self.replay is not None
-                                       and self.replay.has_root(root_id)):
-                self._fail_root(root_id, pending)
-            return self.costs.ack_per_tuple
-        # Non-spout workers receiving ack traffic = the acker component;
-        # its logic lives in the component itself (see acker.py), so run it.
-        return self._run_component(stream_tuple, signal=False)
+            elif kind == ACK_FAIL:
+                root_id = values[1]
+                pending = pop_pending(root_id, None)
+                if pending is not None or (replay is not None
+                                           and replay.has_root(root_id)):
+                    self._fail_root(root_id, pending)
+            else:
+                cost += self._run_component(stream_tuple, signal=False)
+                continue
+            cost += ack_cost
+        return cost
 
     def _fail_root(self, root_id: int, pending: Optional[_PendingRoot]) -> None:
         """One root failed (timeout or explicit FAIL): replay the message

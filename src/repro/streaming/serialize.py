@@ -16,8 +16,10 @@ is the repo's hottest real (wall-clock) path, so it is tuned for CPython
   field pairs are reserved from preallocated zero-pad singletons and
   written in a single ``Struct.pack_into`` call (``!Bq``-style combined
   structs) — no per-value ``bytes([tag]) + packed`` temporaries, no
-  final ``join`` pass, and ``Struct.pack`` is never called (locked by an
-  allocation-regression test);
+  final ``join`` pass, and :func:`encode_tuple` never calls
+  ``Struct.pack`` (locked by an allocation-regression test; the train
+  encoder appends ``pack`` results, one per fixed-width field or per
+  ack record);
 * **decode** walks one flat buffer with the dispatch chain ordered by
   observed tag frequency and the struct readers bound as default
   arguments; each str/bytes payload is materialized from exactly one
@@ -41,7 +43,7 @@ import struct
 from typing import Any, Optional, Tuple
 
 from ..sim.costs import CostModel
-from .tuples import Anchor, StreamTuple
+from .tuples import ACK_STREAM, Anchor, StreamTuple
 
 _T_NONE = 0x00
 _T_TRUE = 0x01
@@ -503,6 +505,48 @@ def encode_tuple_scalar(
 #: stores bare heads for the per-tuple encoders).
 _TRAIN_HEAD_CACHE: dict = {}
 
+#: Fixed-layout ack records (``(kind, root_id, value, worker)`` on the
+#: ack stream, see :func:`encode_train`). An integer field is written
+#: as a prefix plus eight bytes: ``_T_INT`` then ``!q`` for the signed
+#: 64-bit range, or the 7-byte bigint prefix (tag, sign 0, length 9,
+#: zero pad) then ``!Q`` for ``2**63 <= v < 2**64`` — the bytes
+#: ``_encode_many`` writes for each. Indexed by ``v > _I64_MAX``.
+_ACK_INT_PREFIX = (bytes([_T_INT]), _U64_BIGINT.pack(_T_BIGINT, 0, 9, 0)[:7])
+#: ``Struct.pack`` of the integers after the root's prefix: root, the
+#: value's prefix and value, the worker's tag and worker. Indexed by
+#: root width, then value width.
+_ACK_INTS = tuple(
+    tuple(struct.Struct("!%s%sBq" % (root, value)).pack
+          for value in ("1sq", "7sQ"))
+    for root in ("q", "Q"))
+#: ``(stream, source, kind)`` -> the four record shapes of that kind,
+#: indexed by root width, then value width: ``(head, pack, value
+#: prefix, rlen, estimate)``, where the head is the record's ``u32``
+#: length, envelope, kind record and root prefix.
+_ACK_HEAD_CACHE: dict = {}
+
+
+def _ack_shapes(stream: int, src: int, kind: str):
+    """Build and cache the fixed-layout ack record shapes of one kind."""
+    front = _ENVELOPE.pack(stream, src, 0, 4) + encode_values((kind,))
+    estimate = 80 + len(kind) + 24
+    shapes = []
+    for root_wide in (False, True):
+        body = front + _ACK_INT_PREFIX[root_wide]
+        row = []
+        for value_wide in (False, True):
+            value_prefix = _ACK_INT_PREFIX[value_wide]
+            rlen = len(body) + 8 + len(value_prefix) + 8 + _TAG_I64.size
+            row.append((_RECORD_LEN.pack(rlen) + body,
+                        _ACK_INTS[root_wide][value_wide], value_prefix,
+                        rlen, estimate))
+        shapes.append(tuple(row))
+    shapes = tuple(shapes)
+    if len(_ACK_HEAD_CACHE) >= _ENVELOPE_CACHE_MAX:
+        _ACK_HEAD_CACHE.clear()
+    _ACK_HEAD_CACHE[(stream, src, kind)] = shapes
+    return shapes
+
 
 def encode_train(
     stream_tuples,
@@ -513,7 +557,8 @@ def encode_train(
     _pack_u64=_U64_BIGINT.pack,
     _pack_rec=_RECORD_LEN.pack_into,
     _pack_anchor=_ANCHOR.pack,
-    _len=len, _type=type,
+    _ack_heads=_ACK_HEAD_CACHE, _ack_stream=ACK_STREAM,
+    _len=len, _type=type, _int=int, _str=str,
 ):
     """Serialize a whole train of plain or anchored tuples into one
     contiguous, length-prefixed buffer in a single pass.
@@ -554,6 +599,13 @@ def encode_train(
     (checked inline, so the clean common case pays no separate scan
     pass). Those stamps only appear when tracing or replication is
     armed; stamped batches fall back to the caller's per-tuple loop.
+
+    Ack records — an unanchored ack-stream tuple of four values: a
+    ``str`` kind, a root id and a value that are ``int`` in
+    ``[-2**63, 2**64)`` and a signed 64-bit ``int`` worker — skip the
+    per-value walk: one cached head (see :func:`_ack_shapes`) plus one
+    ``Struct.pack`` of the integers write the same bytes. Any other
+    ack-stream tuple takes the walk.
     """
     buf = bytearray()
     bounds: list = [0]   # record prefix offsets; n+1 entries
@@ -569,6 +621,7 @@ def encode_train(
     train_stream = None
     mixed = False
     head = b""
+    ack_kind = ack_shapes = None
     for stream_tuple in stream_tuples:
         if stream_tuple.trace_id is not None \
                 or stream_tuple.seq is not None:
@@ -598,6 +651,30 @@ def encode_train(
             prev_src = src
             prev_n = nvalues
             prev_flags = flags
+            ack_kind = None   # the ack shapes are per envelope
+        if stream == _ack_stream and nvalues == 4 and anchor is None:
+            kind, root, value, worker = values
+            if _type(kind) is _str and _type(root) is _int \
+                    and _type(value) is _int and _type(worker) is _int \
+                    and _I64_MIN <= root < _U64_END \
+                    and _I64_MIN <= value < _U64_END \
+                    and _I64_MIN <= worker <= _I64_MAX:
+                if kind is not ack_kind:
+                    ack_shapes = _ack_heads.get((stream, src, kind))
+                    if ack_shapes is None:
+                        ack_shapes = _ack_shapes(stream, src, kind)
+                    ack_kind = kind
+                ack_head, pack, value_prefix, rlen, grow = \
+                    ack_shapes[root > _I64_MAX][value > _I64_MAX]
+                buf += ack_head
+                buf += pack(root, value_prefix, value, _T_INT, worker)
+                mark(_len(buf))
+                keep_len(rlen)
+                est += grow
+                keep_est(est)
+                if objs is not None:
+                    keep(stream_tuple)
+                continue
         start = _len(buf)
         buf += head
         if anchor is not None:
@@ -860,23 +937,28 @@ def decode_tuple(data, source_component: str = "") -> StreamTuple:
                        trace_id=trace_id, seq=seq)
 
 
-def peek_trace_id(data) -> Optional[int]:
-    """Trace id carried by serialized tuple bytes, without full decoding.
+def peek_trace_id(data, offset: int = 0,
+                  length: Optional[int] = None) -> Optional[int]:
+    """Trace id carried by serialized tuple bytes, without full decoding:
+    ``data`` itself, or the ``length``-byte record at ``offset`` inside
+    it (a record of a frame payload, read in place).
 
     Tolerates truncation (fragment head chunks carry at least the fixed
     header: envelope 9 + anchor 16 + trace 8 = 33 bytes in the worst
     case, well under any MTU, but be defensive anyway)."""
-    if len(data) < _ENVELOPE.size:
+    if length is None:
+        length = len(data) - offset
+    if length < _ENVELOPE.size:
         return None
-    _stream, _src, flags, _nvalues = _ENVELOPE.unpack_from(data, 0)
+    flags = data[offset + 6]   # the envelope's flags byte
     if not flags & _FLAG_TRACED:
         return None
-    offset = _ENVELOPE.size
+    start = offset + _ENVELOPE.size
     if flags & _FLAG_ANCHORED:
-        offset += _ANCHOR.size
-    if len(data) < offset + _TRACE.size:
+        start += _ANCHOR.size
+    if offset + length < start + _TRACE.size:
         return None
-    (trace_id,) = _TRACE.unpack_from(data, offset)
+    (trace_id,) = _TRACE.unpack_from(data, start)
     return trace_id
 
 

@@ -12,14 +12,18 @@ import io
 import pytest
 
 from repro.cli import main
-from repro.core import TyphoonCluster
+from repro.core import TyphoonCluster, audit, tracing
 from repro.core.audit import (
     conservation_report,
     typhoon_frame_tuples,
     verify_conservation,
 )
+from repro.core.io_layer import _TrainAnnotation, train_window
+from repro.core.packets import unpack_payload
 from repro.core.rest import RestApi
+from repro.core.tracing import frame_trace_ids
 from repro.net import EthernetFrame, TYPHOON_ETHERTYPE, WorkerAddress
+from repro.sdn.switch import SoftwareSwitch
 from repro.sim import Engine
 from repro.sim.audit import (
     ConservationError,
@@ -32,9 +36,14 @@ from repro.sim.audit import (
     UNKNOWN_SCOPE,
 )
 from repro.streaming import Grouping, StormCluster, TopologyConfig
+from repro.streaming.serialize import peek_trace_id
 from repro.streaming.storm import storm_batch_tuples
 from repro.streaming.topology import Bolt
-from repro.workloads import word_count_topology
+from repro.workloads import (
+    broadcast_topology,
+    forwarding_topology,
+    word_count_topology,
+)
 
 
 # -- ledger unit tests -----------------------------------------------------
@@ -284,3 +293,81 @@ def test_mid_get_worker_kill_conserves_tuples(engine):
     assert report.ok
     assert report.unattributed == 0
     assert report.sent > 0
+
+
+# -- frame inspectors read the train window --------------------------------
+
+
+def _annotated_frames(monkeypatch, topology, sample_every=0, limit=300):
+    """Run ``topology`` on two hosts and return up to ``limit`` of the
+    annotated frames the switches saw (sent and tunnel-received)."""
+    seen = []
+    original = SoftwareSwitch.inject
+
+    def recording_inject(switch, port_no, frame):
+        if getattr(frame, "tuples", None) is not None and len(seen) < limit:
+            seen.append(frame)
+        return original(switch, port_no, frame)
+
+    monkeypatch.setattr(SoftwareSwitch, "inject", recording_inject)
+    engine = Engine()
+    cluster = TyphoonCluster(engine, num_hosts=2, seed=0)
+    if sample_every:
+        cluster.tracer.configure(sample_every)
+    cluster.submit(topology)
+    engine.run(until=2.6)
+    monkeypatch.undo()
+    return seen
+
+
+def _walked(frame):
+    """Both inspectors' answers from the validating payload walk."""
+    records = unpack_payload(frame.payload)
+    ids = tuple(trace_id for trace_id in map(peek_trace_id, records)
+                if trace_id is not None)
+    return len(records), ids
+
+
+def test_inspectors_read_the_train_window_without_reparsing(monkeypatch):
+    """The ledger and tracer inspectors answer from an annotated
+    frame's window, with the payload walk's answers, and never call
+    unpack_payload; a window that disagrees with its payload takes the
+    walk."""
+    broadcast = _annotated_frames(monkeypatch, broadcast_topology(
+        "bcast", sinks=4, config=TopologyConfig(batch_size=50,
+                                                max_spout_rate=2000.0)),
+        sample_every=3)
+    acked = _annotated_frames(monkeypatch, forwarding_topology(
+        "fwd", TopologyConfig(batch_size=50, acking=True, num_ackers=1,
+                              max_spout_rate=2000.0)))
+    frames = broadcast + acked
+    assert broadcast and acked
+    walked = [_walked(frame) for frame in frames]
+    assert any(ids for _count, ids in walked)  # sampled tuples rode
+    walks = []
+
+    def counting_walk(payload):
+        walks.append(payload)
+        return unpack_payload(payload)
+
+    monkeypatch.setattr(audit, "unpack_payload", counting_walk)
+    monkeypatch.setattr(tracing, "unpack_payload", counting_walk)
+    for frame, (count, ids) in zip(frames, walked):
+        assert typhoon_frame_tuples(frame)[1] == count
+        assert frame_trace_ids(frame) == ids
+    assert walks == []
+    frame = next(frame for frame, (count, _ids) in zip(frames, walked)
+                 if count > 1)
+    view = frame.tuples
+    for start, end, rlens in ((view.start, view.end - 1, view.rlens),
+                              (view.start, view.end,
+                               [rlen + 1 for rlen in view.rlens])):
+        bad = EthernetFrame(dst=frame.dst, src=frame.src,
+                            ethertype=frame.ethertype,
+                            payload=frame.payload,
+                            tuples=_TrainAnnotation(view.objs, rlens, None,
+                                                    start, end, None, False))
+        assert train_window(bad) is None
+        assert typhoon_frame_tuples(bad) == typhoon_frame_tuples(frame)
+        assert frame_trace_ids(bad) == frame_trace_ids(frame)
+    assert len(walks) == 4

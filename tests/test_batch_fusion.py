@@ -19,6 +19,7 @@ an *optimization*, not a semantic change. These tests pin that down:
 """
 
 import random
+from itertools import accumulate
 
 import pytest
 
@@ -26,13 +27,15 @@ from repro.core import TyphoonCluster
 from repro.core import io_layer
 from repro.sim import Engine
 from repro.streaming import TopologyConfig
+from repro.streaming import serialize
 from repro.streaming.serialize import (
     encode_train,
     encode_train_uniform,
     encode_tuple,
 )
 from repro.streaming.topology import Bolt, TopologyBuilder
-from repro.streaming.tuples import Anchor, StreamTuple
+from repro.streaming.transport import Delivery, delivery_bytes
+from repro.streaming.tuples import ACK_STREAM, Anchor, StreamTuple
 from repro.workloads import broadcast_topology, forwarding_topology
 from repro.workloads.sentences import (
     NullSinkBolt,
@@ -162,6 +165,75 @@ def test_encode_train_anchored_records_match_per_tuple_bytes(seed):
         assert train is not None
         assert train[0] == _per_tuple_frame_bytes(batch)
         assert train[2] == [len(encode_tuple(st)) for st in batch]
+
+
+_ACK_KINDS = ("init", "ack", "complete", "fail")
+#: Both ends of both integer widths the fixed ack layout writes.
+_ACK_EDGES = (-2 ** 63, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1)
+
+
+def _ack(kind, root, value, worker=7, stream=ACK_STREAM, src=3):
+    return StreamTuple(values=(kind, root, value, worker), stream=stream,
+                       source_worker=src)
+
+
+def _assert_train_matches_records(batch):
+    """``encode_train`` against per-record ``encode_tuple``: bytes,
+    bounds, lengths and, on an all-fast train (the only kind whose
+    estimates are read), store-sizer estimates. Returns
+    ``(objs, stream)``."""
+    data, bounds, rlens, ests, objs, stream = encode_train(batch)
+    records = [encode_tuple(st) for st in batch]
+    assert data == _per_tuple_frame_bytes(batch)
+    assert rlens == [len(record) for record in records]
+    assert bounds == list(accumulate(
+        [0] + [_RECORD_PREFIX + len(record) for record in records]))
+    if objs is None:
+        assert ests == [delivery_bytes(Delivery(tuples=batch[:i]))
+                        for i in range(len(batch) + 1)]
+    return objs, stream
+
+
+def test_encode_train_ack_records_match_per_tuple_bytes():
+    """Ack records take the fixed layout (one cached head per shape)
+    and write the per-value walk's bytes and bookkeeping; records
+    outside the layout fall back mid-train."""
+    acks = [_ack(kind, root, value, worker)
+            for kind in _ACK_KINDS for root in _ACK_EDGES
+            for value in _ACK_EDGES for worker in (-1, 7)]
+    serialize._ACK_HEAD_CACHE.clear()
+    objs, stream = _assert_train_matches_records(acks)
+    assert objs is None and stream == ACK_STREAM
+    # One head per (stream, source, kind) and root and value width.
+    assert len(serialize._ACK_HEAD_CACHE) == len(_ACK_KINDS)
+    fallbacks = [
+        _ack("ack", 2 ** 64, 1), _ack("ack", 1, 2 ** 64),
+        _ack("ack", -2 ** 63 - 1, 1), _ack("ack", 1, -2 ** 63 - 1),
+        _ack("ack", True, 1), _ack("ack", 1, False),
+        _ack("ack", "root", 1), _ack(b"ack", 1, 1),
+        _ack("ack", 1, 1, worker=2 ** 63),
+        StreamTuple(values=("ack", 1, 1), stream=ACK_STREAM,
+                    source_worker=3),
+        StreamTuple(values=("ack", 1, 1, 7, 0), stream=ACK_STREAM,
+                    source_worker=3),
+        StreamTuple(values=("ack", 1, 1, 7), stream=ACK_STREAM,
+                    source_worker=3, anchor=Anchor(5, 6)),
+    ]
+    mixed = []
+    for i, odd in enumerate(fallbacks):
+        mixed += [acks[i], odd, acks[-1 - i]]
+    # The same kind from another source needs that source's head.
+    mixed += [_ack("ack", 1, 2), _ack("ack", 1, 2, src=4), _ack("ack", 1, 2)]
+    objs, stream = _assert_train_matches_records(mixed)
+    assert objs is None and stream == ACK_STREAM
+    # A container value falls back too; its record alone loses the
+    # fast lane. A data-stream record makes the train mixed.
+    mixed += [_ack("ack", 1, [2]), acks[5], _ack("ack", 1, 1, stream=0)]
+    objs, stream = _assert_train_matches_records(mixed)
+    assert stream is None
+    assert [obj is None for obj in objs] == \
+        [i == len(mixed) - 3 for i in range(len(mixed))]
+    assert all(obj is st for obj, st in zip(objs, mixed) if obj is not None)
 
 
 def test_encode_train_refuses_traced_and_sequenced_tuples():

@@ -17,9 +17,15 @@ from repro.streaming import (
     WorkerExecutor,
     signal_tuple,
 )
-from repro.streaming.executor import OutOfMemoryError
+from repro.streaming.executor import (
+    ACK_COMPLETE,
+    ACK_FAIL,
+    OutOfMemoryError,
+    _PendingRoot,
+)
+from repro.streaming.replay import ReplayBuffer
 from repro.streaming.topology import BOLT, SPOUT, Bolt, Spout
-from repro.streaming.tuples import CONTROL_STREAM
+from repro.streaming.tuples import ACK_STREAM, CONTROL_STREAM
 
 
 class FakeTransport(Transport):
@@ -287,3 +293,153 @@ def test_charge_negative_rejected(engine):
     executor, _ = build_executor(engine, Echo())
     with pytest.raises(ValueError):
         executor.collector.charge(-1.0)
+
+
+# -- the spout completion loop ------------------------------------------------
+
+
+class RecordingSpout(Spout):
+    """Logs every ack/fail call; optionally raises from both."""
+
+    def __init__(self, raising=False):
+        self.calls = []
+        self.raising = raising
+
+    def next_tuple(self, collector):
+        pass
+
+    def ack(self, message_id):
+        self.calls.append(("ack", message_id))
+        if self.raising:
+            raise RuntimeError("ack hook")
+
+    def fail(self, message_id):
+        self.calls.append(("fail", message_id))
+        if self.raising:
+            raise RuntimeError("fail hook")
+
+
+def _acked_spout(raising, max_retries):
+    """A spout executor at t=1 with roots 1000..1005 in flight, plus
+    2000, a second root of message 0 (a replay emission). With
+    ``max_retries`` set, a replay buffer allowing that many retries
+    tracks every root."""
+    engine = Engine()
+    engine.run(until=1.0)
+    spout = RecordingSpout(raising)
+    executor = WorkerExecutor(
+        engine=engine,
+        costs=DEFAULT_COSTS,
+        assignment=WorkerAssignment(worker_id=1, component="comp",
+                                    task_index=0, hostname="h"),
+        node=LogicalNode("comp", SPOUT, lambda: spout),
+        config=TopologyConfig(acking=True),
+        transport=FakeTransport(),
+        routers={},
+        metrics=MetricsRegistry(engine),
+        rng=SeedFactory(1).rng("w"),
+        topology_id="t",
+        ackers=[9],
+    )
+    if max_retries is not None:
+        executor.replay = ReplayBuffer(1, max_retries=max_retries)
+    roots = [(1000 + i, i, 0.1 * i) for i in range(6)] + [(2000, 0, 0.7)]
+    for root_id, message, emitted in roots:
+        executor.pending_roots[root_id] = _PendingRoot(("m", message),
+                                                       emitted)
+        if executor.replay is not None:
+            executor.replay.register_root(root_id, ("m", message),
+                                          ("v", message), 0)
+    return executor, spout
+
+
+def _settle_one_by_one(executor, tuples, cost):
+    """The per-tuple spout branch the completion loop replaced."""
+    for stream_tuple in tuples:
+        if stream_tuple.stream == CONTROL_STREAM:
+            cost += executor._handle_control(stream_tuple)
+            continue
+        kind, root_id = stream_tuple.values[:2]
+        pending = executor.pending_roots.pop(root_id, None)
+        replay = executor.replay
+        if kind == ACK_COMPLETE:
+            if replay is not None:
+                message_id, first = replay.on_complete(root_id)
+                if first:
+                    if pending is not None:
+                        executor.latency_dist.record(
+                            executor.engine.now - pending.emit_time)
+                    try:
+                        executor.component.ack(message_id)
+                    except Exception:
+                        pass
+            elif pending is not None:
+                executor.latency_dist.record(
+                    executor.engine.now - pending.emit_time)
+                try:
+                    executor.component.ack(pending.message_id)
+                except Exception:
+                    pass
+        else:
+            assert kind == ACK_FAIL
+            if pending is not None or (replay is not None
+                                       and replay.has_root(root_id)):
+                executor._fail_root(root_id, pending)
+        cost += executor.costs.ack_per_tuple
+    return cost
+
+
+def _run_delivery(executor, delivery):
+    process = executor._process_delivery(delivery)
+    try:
+        next(process)
+    except StopIteration as done:
+        return done.value
+    raise AssertionError("delivery processing yielded")
+
+
+def _ack_message(kind, root_id):
+    return StreamTuple((kind, root_id, 0, -1), stream=ACK_STREAM,
+                       source_worker=9)
+
+
+@pytest.mark.parametrize("raising", [False, True])
+@pytest.mark.parametrize("max_retries", [None, 0, 1])
+def test_spout_completion_loop_matches_per_tuple_branch(raising,
+                                                        max_retries):
+    """One delivery mixing COMPLETE, FAIL, unknown roots, duplicates, a
+    superseded root and a control tuple settles exactly as feeding the
+    tuples one at a time through the old per-tuple branch: same cost
+    (bit for bit), latency samples, failures, replay state and
+    component calls."""
+    tuples = [
+        _ack_message(ACK_COMPLETE, 1000),
+        _ack_message(ACK_FAIL, 1001),
+        _ack_message(ACK_COMPLETE, 9999),     # unknown root
+        _ack_message(ACK_COMPLETE, 1000),     # duplicate COMPLETE
+        _ack_message(ACK_FAIL, 1001),         # duplicate FAIL
+        StreamTuple(("noop",), stream=CONTROL_STREAM),
+        _ack_message(ACK_FAIL, 8888),         # unknown root
+        _ack_message(ACK_COMPLETE, 2000),     # message 0 again
+        _ack_message(ACK_COMPLETE, 1002),
+        _ack_message(ACK_FAIL, 1003),
+        _ack_message(ACK_COMPLETE, 1003),     # after its FAIL
+        _ack_message(ACK_COMPLETE, 1005),
+    ]
+    loop, loop_spout = _acked_spout(raising, max_retries)
+    reference, reference_spout = _acked_spout(raising, max_retries)
+    cost = _run_delivery(loop, Delivery(list(tuples), cost=0.25))
+    assert cost == _settle_one_by_one(reference, tuples, 0.25)
+    assert loop.latency_dist.samples() == reference.latency_dist.samples()
+    assert loop.latency_dist.samples()
+    assert loop.stats.failed == reference.stats.failed > 0
+    assert loop.stats.control_tuples == reference.stats.control_tuples == 1
+    assert loop_spout.calls == reference_spout.calls
+    assert loop.pending_roots.keys() == reference.pending_roots.keys()
+    assert loop.stats.crashes == 0
+    if max_retries is not None:
+        assert loop.replay.stats() == reference.replay.stats()
+        due = [(entry.message_id, entry.attempts) for entry
+               in loop.replay.take_due(100.0, 100)]
+        assert due == [(entry.message_id, entry.attempts) for entry
+                       in reference.replay.take_due(100.0, 100)]
