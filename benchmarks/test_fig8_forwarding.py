@@ -12,6 +12,7 @@ from repro.bench import fig8a_forwarding, fig8b_forwarding_ack
 from repro.bench.figures import FIG8_BATCH_SIZES
 
 from conftest import run_once, show
+from figure_golden import check_golden
 
 #: fig8a's result is reused by the fig8b assertions (the "halves" claim
 #: is relative to the un-acked numbers) — computed once per session.
@@ -27,6 +28,7 @@ def _fig8a():
 def test_fig8a_forwarding(benchmark):
     result = run_once(benchmark, _fig8a)
     show(result)
+    check_golden("fig8a", result)
     scalars = result.scalars
     for placement in ("local", "remote"):
         storm = scalars["storm_%s" % placement]

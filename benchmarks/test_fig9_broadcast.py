@@ -10,13 +10,13 @@ import pytest
 from repro.bench import fig9_broadcast
 
 from conftest import run_once, show
-
-SINKS = (2, 3, 4, 5, 6)
+from figure_golden import FIG9_SINKS as SINKS, check_golden
 
 
 def test_fig9_one_to_many(benchmark):
     result = run_once(benchmark, fig9_broadcast, SINKS)
     show(result)
+    check_golden("fig9", result)
     scalars = result.scalars
     for placement in ("local", "remote"):
         storm = [scalars["storm_%s_%d" % (placement, k)] for k in SINKS]

@@ -612,8 +612,11 @@ class TyphoonTransport(Transport):
         ``uniform=True`` is the caller's pledge that the whole batch
         came off one collector's fast-sink lane — one shared
         ``(stream, source_worker)`` envelope, no anchor/trace/seq
-        stamps — unlocking :func:`encode_train_uniform`'s tightened
-        single-pass encode. Bytes and costs are unchanged either way.
+        stamps — so :func:`encode_train_uniform` may encode a
+        column-uniform train as one replicated record with patched
+        numeric lanes instead of walking every value (it hands any
+        other batch to :func:`encode_train`). Bytes and costs are
+        unchanged either way.
 
         With a ``totals`` list, the walk appends each tuple's own send
         total (the float :meth:`send` would have returned) to it

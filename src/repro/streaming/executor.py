@@ -619,11 +619,8 @@ class WorkerExecutor:
                 if stream_tuple.stream == SIGNAL_STREAM:
                     cost += self._run_component(stream_tuple, signal=True)
                     continue
-                if stream_tuple.stream == ACK_STREAM:
-                    # The acker's input: it runs the component like any
-                    # tuple, but a crash does not end the delivery.
-                    cost += self._run_component(stream_tuple, signal=False)
-                    continue
+                # Data, or the acker's ack-stream input: a crash ends
+                # the delivery.
                 cost += self._run_component(stream_tuple, signal=False)
                 if not self.alive:
                     break

@@ -31,6 +31,14 @@ is the repo's hottest real (wall-clock) path, so it is tuned for CPython
 * **both directions batch**: values are encoded/decoded in runs
   (``_encode_many``/``_decode_many``), so scalars cost zero Python
   function calls — the codec recurses only for nested containers.
+* **column-uniform spout trains are patched, not walked**
+  (:func:`encode_train_uniform`): when every record has one width and
+  each column is a constant or a signed-64/float lane, the first
+  record is encoded once, repeated per tuple, and each lane is written
+  with eight strided slice assignments from a byteswapped ``array``.
+  Trains shorter than :data:`_PATCH_MIN` (the measured crossover) and
+  every other shape take :func:`encode_train`'s walk; there is no
+  second per-value loop.
 
 The byte layout is unchanged — encode/decode are byte-for-byte
 compatible with the pre-optimization codec, including the optional
@@ -40,6 +48,8 @@ anchor/trace trailing fields (locked by the golden-bytes tests).
 from __future__ import annotations
 
 import struct
+import sys
+from array import array
 from typing import Any, Optional, Tuple
 
 from ..sim.costs import CostModel
@@ -766,137 +776,97 @@ def encode_train(
         None if mixed else train_stream
 
 
+#: Fewest records :func:`encode_train_uniform` patches. Its setup
+#: (transposing the rows, checking each column, building the lanes)
+#: costs a fixed few microseconds, so below this length the value walk
+#: of :func:`encode_train` is faster; measured on the forwarding
+#: benchmark's ``(str, int)`` shape, the two cross between 6 and 8
+#: records (DESIGN.md §5d).
+_PATCH_MIN = 8
+#: Exact types a constant column may hold. Never ``float``: equal
+#: floats can differ in bits (``0.0 == -0.0``) and NaN equals nothing.
+_CONSTANT_KINDS = frozenset((str, bytes, int, bool, type(None)))
+#: A varying column's 8-byte lane in the replicated first record.
+_PAD_LANE = bytes(8)
+_LITTLE_ENDIAN = sys.byteorder == "little"
+
+
 def encode_train_uniform(
     stream_tuples,
     stream,
     src,
-    _pack_i64=_TAG_I64.pack,
-    _pack_f64=_TAG_F64.pack_into,
-    _pack_u32=_TAG_U32.pack_into,
-    _pack_big=_BIGINT_HEAD.pack_into,
-    _pack_u64=_U64_BIGINT.pack,
-    _pack_rec=_RECORD_LEN.pack_into,
-    _len=len, _type=type,
+    _array=array, _len=len, _type=type, _set=set, _map=map, _sum=sum,
 ):
-    """:func:`encode_train` specialised for a *uniform* batch: every
-    tuple shares the one ``(stream, src)`` envelope passed in, and none
-    carries an anchor, trace or sequencing stamp. The caller owns that
-    contract — the spout fast-sink lane guarantees it by construction
-    (one collector emits the whole run on one stream; acking, tracing
-    and sequenced edges each disarm the lane before a stamp can ever be
-    applied) — which lets this loop drop the per-tuple stamp scan and
-    the per-tuple envelope comparisons that :func:`encode_train` must
-    keep for arbitrary batches. The emitted bytes and the returned
-    ``(data, bounds, rlens, ests, objs, stream)`` are exactly what
-    :func:`encode_train` produces for the same tuples. Batches holding
-    a container value delegate to the general walk (which tracks the
-    per-record object list this loop omits), so a ``None`` return is
-    possible only if the caller's no-stamp pledge was broken — and the
-    transports degrade to the per-tuple path in that case anyway.
+    """:func:`encode_train` for a *uniform* batch: every tuple shares the
+    one ``(stream, src)`` envelope passed in, and none carries an
+    anchor, trace or sequencing stamp. The caller owns that contract;
+    the spout fast-sink lane guarantees it by construction (one
+    collector emits the whole run on one stream; acking, tracing and
+    sequenced edges each disarm the lane before a stamp can be
+    applied). The bytes and the returned ``(data, bounds, rlens, ests,
+    objs, stream)`` are exactly what :func:`encode_train` produces for
+    the same tuples.
+
+    A *column-uniform* train is never walked value by value. It has at
+    least :data:`_PATCH_MIN` records of one width, and each column
+    holds one exact type and is either constant (one of
+    :data:`_CONSTANT_KINDS`, equal in every record) or varying numeric
+    (signed-64 ``int`` or ``float``). Its records then all have
+    one length: the first record is encoded once, with a tag plus an
+    8-byte lane for each varying column, repeated as ``u32 rlen +
+    record`` once per tuple, and each lane is patched with the column's
+    big-endian values, byte ``k`` of every record in one strided slice
+    assignment from an ``array`` (byteswapped on little-endian hosts).
+    ``bounds``, ``rlens`` and ``ests`` are then arithmetic. Every other
+    batch goes to :func:`encode_train`.
     """
-    buf = bytearray()
-    bounds: list = [0]
-    rlens: list = []
-    ests: list = [0]
-    mark = bounds.append
-    keep_len = rlens.append
-    keep_est = ests.append
-    est = 0
-    head_cache = _TRAIN_HEAD_CACHE
-    prev_n = -1
-    head = b""
-    # Record starts carry over from the previous record's end — one
-    # len() per record instead of two.
-    end = 0
-    for stream_tuple in stream_tuples:
-        values = stream_tuple.values
-        nvalues = _len(values)
-        if nvalues != prev_n:
-            key = (stream, src, nvalues, 0)
-            head = head_cache.get(key)
-            if head is None:
-                head = bytearray(_PAD_ENVELOPE)
-                _ENVELOPE.pack_into(head, 0, stream, src, 0, nvalues)
-                head = _PAD_RECORD_LEN + bytes(head)
-                if _len(head_cache) >= _ENVELOPE_CACHE_MAX:
-                    head_cache.clear()
-                head_cache[key] = head
-            prev_n = nvalues
-        start = end
-        buf += head
-        est += 80
-        for value in values:
-            kind = _type(value)
-            if kind is str:
-                est += _len(value)
-                record = _STR_RECORD_CACHE.get(value)
-                if record is not None:
-                    buf += record
-                elif _len(value) <= _STR_CACHE_LEN_LIMIT:
-                    data = value.encode("utf-8")
-                    record = bytearray()
-                    record += _PAD_TAG_U32
-                    _pack_u32(record, 0, _T_STR, _len(data))
-                    record += data
-                    record = bytes(record)
-                    if _len(_STR_RECORD_CACHE) >= _STR_RECORD_CACHE_MAX:
-                        _STR_RECORD_CACHE.clear()
-                    _STR_RECORD_CACHE[value] = record
-                    buf += record
-                else:
-                    data = value.encode("utf-8")
-                    pos = _len(buf)
-                    buf += _PAD_TAG_U32
-                    _pack_u32(buf, pos, _T_STR, _len(data))
-                    buf += data
-            elif kind is int:
-                est += 8
-                if _I64_MIN <= value <= _I64_MAX:
-                    buf += _pack_i64(_T_INT, value)
-                elif _I64_MAX < value < _U64_END:
-                    buf += _pack_u64(_T_BIGINT, 0, 9, value)
-                else:
-                    magnitude = abs(value)
-                    body = magnitude.to_bytes(
-                        (magnitude.bit_length() + 8) // 8, "big",
-                        signed=False)
-                    pos = _len(buf)
-                    buf += _PAD_BIGINT_HEAD
-                    _pack_big(buf, pos, _T_BIGINT, 1 if value < 0 else 0,
-                              _len(body))
-                    buf += body
-            elif kind is float:
-                est += 8
-                pos = _len(buf)
-                buf += _PAD_TAG_I64
-                _pack_f64(buf, pos, _T_FLOAT, value)
-            elif value is None:
-                est += 8
-                buf.append(_T_NONE)
-            elif kind is bool:
-                est += 8
-                buf.append(_T_TRUE if value else _T_FALSE)
-            elif kind is bytes:
-                est += _len(value)
-                pos = _len(buf)
-                buf += _PAD_TAG_U32
-                _pack_u32(buf, pos, _T_BYTES, _len(value))
-                buf += value
-            else:
-                # A container value: the whole batch re-encodes through
-                # the general walk, which produces the identical bytes
-                # for a uniform batch and tracks the per-record object
-                # list this loop deliberately omits. One batch pays
-                # double encode work; the hot all-scalar shape pays no
-                # objs bookkeeping at all.
+    n = _len(stream_tuples)
+    if n < _PATCH_MIN:
+        return encode_train(stream_tuples)
+    rows = [stream_tuple.values for stream_tuple in stream_tuples]
+    width = _len(rows[0])
+    # zip stops at the shortest row; the summed widths catch longer ones.
+    columns = list(zip(*rows))
+    if _len(columns) != width or _sum(_map(_len, rows)) != n * width:
+        return encode_train(stream_tuples)
+    frame = bytearray(_PAD_RECORD_LEN + _ENVELOPE.pack(stream, src, 0, width))
+    est = 80
+    lanes = []
+    for column in columns:
+        value = column[0]
+        kind = _type(value)
+        if _len(_set(_map(_type, column))) != 1:
+            return encode_train(stream_tuples)
+        if kind in _CONSTANT_KINDS and column.count(value) == n:
+            est += _len(value) if kind is str or kind is bytes else 8
+            _encode_many((value,), frame)
+            continue
+        if kind is int:
+            try:
+                lane = _array("q", column)
+            except OverflowError:   # outside the signed-64 range
                 return encode_train(stream_tuples)
-        end = _len(buf)
-        rlen = end - start - 4
-        _pack_rec(buf, start, rlen)
-        mark(end)
-        keep_len(rlen)
-        keep_est(est)
-    return bytes(buf), bounds, rlens, ests, None, stream
+            frame.append(_T_INT)
+        elif kind is float:
+            lane = _array("d", column)
+            frame.append(_T_FLOAT)
+        else:
+            return encode_train(stream_tuples)
+        lanes.append((_len(frame), lane))
+        frame += _PAD_LANE
+        est += 8
+    stride = _len(frame)
+    rlen = stride - _RECORD_LEN.size
+    _RECORD_LEN.pack_into(frame, 0, rlen)
+    buf = frame * n
+    for offset, lane in lanes:
+        if _LITTLE_ENDIAN:
+            lane.byteswap()
+        lane = bytearray(lane)
+        for k in range(8):
+            buf[offset + k::stride] = lane[k::8]
+    return bytes(buf), list(range(0, n * stride + 1, stride)), [rlen] * n, \
+        list(range(0, n * est + 1, est)), None, stream
 
 
 def decode_tuple(data, source_component: str = "") -> StreamTuple:

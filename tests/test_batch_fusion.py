@@ -22,6 +22,7 @@ import random
 from itertools import accumulate
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from repro.core import TyphoonCluster
 from repro.core import io_layer
@@ -137,6 +138,139 @@ def test_encode_train_uniform_container_delegates():
     assert uniform[0] == _per_tuple_frame_bytes(batch)
     objs = uniform[4]
     assert objs is not None and objs[4] is None and objs[3] is batch[3]
+
+
+# -- column-uniform trains: the patch path ------------------------------------
+
+_PATCH_MIN = serialize._PATCH_MIN
+_I64_EDGES = (-2 ** 63, 2 ** 63 - 1)
+#: Signed zeros, NaN, both infinities and subnormals.
+_FLOAT_EDGES = (0.0, -0.0, float("nan"), float("inf"), float("-inf"),
+                5e-324, -5e-324, 2.2250738585072e-308)
+#: Test columns by name: ``n`` -> the column's ``n`` values.
+_PATCHED = {
+    "str": lambda n: ["héllo ✓ 世界"] * n,
+    "bytes": lambda n: [b"\x00\xff\x80"] * n,
+    "int": lambda n: [-2 ** 63 - 5] * n,   # a constant needs no lane
+    "bool": lambda n: [False] * n,
+    "none": lambda n: [None] * n,
+    "i64-edges": lambda n: [(_I64_EDGES + (0, -1, 1))[i % 5]
+                            for i in range(n)],
+    "float-edges": lambda n: [_FLOAT_EDGES[i % len(_FLOAT_EDGES)]
+                              for i in range(n)],
+    "signed-zeros": lambda n: [(0.0, -0.0)[i % 2] for i in range(n)],
+}
+_WALKED = {
+    "varying-str": lambda n: ["wörd%d" % i for i in range(n)],
+    "varying-bytes": lambda n: [bytes([i % 256]) for i in range(n)],
+    "past-i64-max": lambda n: [2 ** 63 if i == n - 1 else i
+                               for i in range(n)],
+    "past-i64-min": lambda n: [-2 ** 63 - 1 if i == n // 2 else -i
+                               for i in range(n)],
+    "one-and-true": lambda n: [(1, True)[i % 2] for i in range(n)],
+    "one-and-float": lambda n: [(1, 1.0)[i % 2] for i in range(n)],
+}
+
+
+def _column_uniform(rows):
+    """The patch path's eligibility rule, written out independently."""
+    if len(rows) < _PATCH_MIN or len({len(row) for row in rows}) != 1:
+        return False
+    for column in zip(*rows):
+        kinds = {type(value) for value in column}
+        if len(kinds) != 1:
+            return False
+        kind = kinds.pop()
+        if kind is float or (kind is int and all(
+                _I64_EDGES[0] <= value <= _I64_EDGES[1]
+                for value in column)):
+            continue
+        if kind not in (str, bytes, int, bool, type(None)) \
+                or any(value != column[0] for value in column):
+            return False
+    return True
+
+
+def _assert_uniform_matches(rows, stream=7, src=-3):
+    """``encode_train_uniform`` against ``encode_train`` (all six
+    fields) and per-record ``encode_tuple`` framing. It falls back to
+    ``encode_train`` exactly when the rows are not column-uniform;
+    returns whether it did."""
+    batch = [StreamTuple(values=tuple(row), stream=stream,
+                         source_worker=src) for row in rows]
+    general = serialize.encode_train
+    fallbacks = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(serialize, "encode_train",
+                      lambda tuples: fallbacks.append(tuples)
+                      or general(tuples))
+        uniform = encode_train_uniform(batch, stream, src)
+    assert uniform == general(batch)
+    assert uniform[0] == _per_tuple_frame_bytes(batch)
+    assert fallbacks in ([], [batch])
+    assert (not fallbacks) == _column_uniform(rows)
+    return bool(fallbacks)
+
+
+@pytest.mark.parametrize("size", [1, _PATCH_MIN - 1, _PATCH_MIN, 1000])
+@pytest.mark.parametrize("name", list(_PATCHED) + list(_WALKED))
+def test_encode_train_uniform_patches_column_uniform_trains(name, size):
+    """Each column kind between a constant payload and a varying
+    sequence number, as the forwarding spout emits: the patch path
+    takes every train of ``_PATCH_MIN`` or more records whose columns
+    are constant or signed-64/float lanes, and walks the rest."""
+    column = (_PATCHED.get(name) or _WALKED[name])(size)
+    rows = [("payload", value, seq)
+            for seq, value in enumerate(column, 2 ** 40)]
+    walked = _assert_uniform_matches(rows)
+    assert walked == (size < _PATCH_MIN or name in _WALKED)
+    # The same column alone, last, and with no other column at all.
+    _assert_uniform_matches([(value,) for value in column], 0, 0)
+    _assert_uniform_matches([(seq, value) for seq, value
+                             in enumerate(column)], 0xFFFF, 2 ** 31 - 1)
+    assert _assert_uniform_matches([()] * size) == (size < _PATCH_MIN)
+
+
+@pytest.mark.parametrize("offset", [-1, 1])
+def test_encode_train_uniform_walks_unequal_widths(offset):
+    rows = [("payload", seq) for seq in range(3 * _PATCH_MIN)]
+    for index in (0, _PATCH_MIN, len(rows) - 1):
+        ragged = list(rows)
+        ragged[index] = ("payload", index, 0)[:2 + offset]
+        assert _assert_uniform_matches(ragged)
+
+
+_SCALARS = st.one_of(
+    st.text(max_size=5), st.binary(max_size=5), st.integers(),
+    st.booleans(), st.none(), st.floats(),
+    st.sampled_from(_I64_EDGES + (2 ** 63, -2 ** 63 - 1) + _FLOAT_EDGES))
+_POOLS = st.one_of(
+    _SCALARS.map(lambda value: [value]),
+    st.lists(st.one_of(st.integers(*_I64_EDGES),
+                       st.sampled_from(_I64_EDGES)), min_size=1, max_size=6),
+    st.lists(st.one_of(st.floats(), st.sampled_from(_FLOAT_EDGES)),
+             min_size=1, max_size=6),
+    st.lists(st.sampled_from([0.0, -0.0]), min_size=2, max_size=4),
+    st.lists(st.sampled_from([1, True]), min_size=2, max_size=4),
+    st.lists(st.sampled_from([1, 1.0]), min_size=2, max_size=4),
+    st.lists(_SCALARS, min_size=1, max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.sampled_from([1, _PATCH_MIN - 1, _PATCH_MIN, 1000]),
+                 st.integers(1, 4 * _PATCH_MIN)),
+       st.lists(_POOLS, max_size=4), st.integers(-1, 1),
+       st.integers(0, 0xFFFF), st.integers(-2 ** 31, 2 ** 31 - 1))
+def test_encode_train_uniform_property(size, pools, ragged, stream, src):
+    """Random mixes of constant and varying columns, each cycled from a
+    small pool, with one row optionally a value short or long."""
+    rows = [[pool[i % len(pool)] for pool in pools] for i in range(size)]
+    if ragged == -1 and pools:
+        rows[size // 2].pop()
+    elif ragged == 1:
+        rows[-1].append(None)
+    event("walked" if _assert_uniform_matches(rows, stream, src)
+          else "patched")
 
 
 def _anchored(rng, values, stream=0, src=3):
@@ -355,6 +489,40 @@ def test_broadcast_fused_equals_forced_per_tuple(monkeypatch):
     assert min(fused["per_sink"]) > 0
     # Network-level replication: every sink sees the same train.
     assert len(set(fused["per_sink"])) == 1
+
+
+def test_spout_trains_take_the_patch_path(monkeypatch):
+    """Identical bytes would hide a silent fallback, so count them: on
+    a one-host batch-100 forwarding run and a two-host k=4 broadcast,
+    every uniform train of ``_PATCH_MIN`` or more records is patched
+    and only shorter ones are walked by ``encode_train``; a train with
+    a varying string column is walked."""
+    trains, walked = [], []
+    uniform = io_layer.encode_train_uniform
+    general = serialize.encode_train
+
+    def counting_uniform(tuples, stream, src):
+        trains.append(len(tuples))
+        return uniform(tuples, stream, src)
+
+    def counting_general(tuples):
+        walked.append(len(tuples))
+        return general(tuples)
+
+    monkeypatch.setattr(io_layer, "encode_train_uniform", counting_uniform)
+    monkeypatch.setattr(serialize, "encode_train", counting_general)
+    for run in (lambda: _run_forwarding(seed=1, batch_size=100, until=2.8),
+                lambda: _run_broadcast(seed=1, sinks=4, until=2.8)):
+        trains.clear()
+        walked.clear()
+        run()
+        assert sum(n >= _PATCH_MIN for n in trains) > 10
+        assert walked == [n for n in trains if n < _PATCH_MIN]
+    walked.clear()
+    words = [StreamTuple(values=("w%d" % i, i), stream=0, source_worker=3)
+             for i in range(2 * _PATCH_MIN)]
+    assert uniform(words, 0, 3) == general(words)
+    assert walked == [len(words)]
 
 
 def test_batch_hooks_alone_change_nothing(monkeypatch):

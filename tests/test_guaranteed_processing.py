@@ -6,12 +6,16 @@ import pytest
 from repro.core import TyphoonCluster
 from repro.sim import Engine
 from repro.streaming import (
+    ACKER_COMPONENT,
+    AckerBolt,
     Bolt,
     Spout,
     StormCluster,
     TopologyBuilder,
     TopologyConfig,
+    WorkerExecutor,
 )
+from repro.workloads import forwarding_topology
 
 
 class ReplaySpout(Spout):
@@ -106,3 +110,41 @@ def test_no_failures_means_no_replays(cluster_class):
     assert spout.acked == set(range(300))
     sink = cluster.executors_for("clean", "sink")[0]
     assert sink.component.count == 300  # exactly once when nothing fails
+
+
+def test_traced_acker_crash_ends_its_delivery(monkeypatch):
+    """Under tracing an acker that raises runs no further ``execute``
+    in the delivery it crashed in, as on the untraced fused loop."""
+    serial = [0]      # acker deliveries started so far
+    current = [0, 0]  # (tuples in the current one, executes so far)
+    calls = []        # serial of every acker execute
+    raised = []
+    process = WorkerExecutor._process_delivery
+    execute = AckerBolt.execute
+
+    def counting_process(self, delivery):
+        if self.component_name == ACKER_COMPONENT:
+            serial[0] += 1
+            current[:] = [len(delivery.tuples), 0]
+        return (yield from process(self, delivery))
+
+    def faulty_execute(self, stream_tuple, collector):
+        calls.append(serial[0])
+        size, done = current
+        current[1] = done + 1
+        if not raised and done == 0 and size >= 3 and serial[0] > 5:
+            raised.append(serial[0])
+            raise RuntimeError("acker fault")
+        return execute(self, stream_tuple, collector)
+
+    monkeypatch.setattr(WorkerExecutor, "_process_delivery",
+                        counting_process)
+    monkeypatch.setattr(AckerBolt, "execute", faulty_execute)
+    engine = Engine()
+    cluster = TyphoonCluster(engine, num_hosts=1, seed=0)
+    cluster.tracer.configure(3)
+    cluster.submit(forwarding_topology("fwd", TopologyConfig(
+        batch_size=20, acking=True, num_ackers=1, max_spout_rate=2000.0)))
+    engine.run(until=3.0)
+    assert raised, "no acker delivery of three or more tuples"
+    assert calls.count(raised[0]) == 1
