@@ -47,6 +47,7 @@ def test_fig8b_forwarding_with_ack(benchmark):
     plain = _fig8a()
     result = run_once(benchmark, fig8b_forwarding_ack)
     show(result)
+    check_golden("fig8b", result)
     for placement in ("local", "remote"):
         storm_acked = result.scalars["storm_%s" % placement]
         typhoon_acked = result.scalars["typhoon100_%s" % placement]

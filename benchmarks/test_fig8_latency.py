@@ -9,6 +9,17 @@ import pytest
 from repro.bench import fig8cd_latency
 
 from conftest import run_once, show
+from figure_golden import check_golden
+
+#: The local run is reused by the remote test's remote-vs-local check —
+#: computed once per pytest run.
+_cache = {}
+
+
+def _local():
+    if "local" not in _cache:
+        _cache["local"] = fig8cd_latency(True)
+    return _cache["local"]
 
 
 def _assert_shape(result):
@@ -29,16 +40,18 @@ def _assert_shape(result):
 
 
 def test_fig8c_latency_local(benchmark):
-    result = run_once(benchmark, fig8cd_latency, True)
+    result = run_once(benchmark, _local)
     show(result)
+    check_golden("fig8c", result)
     _assert_shape(result)
 
 
 def test_fig8d_latency_remote(benchmark):
     result = run_once(benchmark, fig8cd_latency, False)
     show(result)
+    check_golden("fig8d", result)
     _assert_shape(result)
     # Remote adds network latency: remote medians exceed local ones.
-    local = fig8cd_latency(True)
+    local = _local()
     assert (result.scalars["typhoon(100)_p50_ms"]
             >= local.scalars["typhoon(100)_p50_ms"])

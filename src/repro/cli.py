@@ -47,7 +47,7 @@ EXPERIMENTS: Dict[str, Callable] = {
     "fig8b": bench.fig8b_forwarding_ack,
     "fig8c": lambda seed=0: bench.fig8cd_latency(True, seed),
     "fig8d": lambda seed=0: bench.fig8cd_latency(False, seed),
-    "fig9": bench.fig9_broadcast,
+    "fig9": lambda seed=0: bench.fig9_broadcast(seed=seed),
     "fig10-storm": lambda seed=0: bench.fig10_fault("storm", seed),
     "fig10-typhoon": lambda seed=0: bench.fig10_fault("typhoon", seed),
     "fig11-storm": lambda seed=0: bench.fig11_autoscale("storm", seed),
@@ -177,11 +177,7 @@ def cmd_list_experiments(out=sys.stdout) -> int:
 
 
 def cmd_experiment(name: str, seed: int, out=sys.stdout) -> int:
-    runner = EXPERIMENTS[name]
-    try:
-        result = runner(seed)
-    except TypeError:
-        result = runner()
+    result = EXPERIMENTS[name](seed)
     out.write(result.render())
     out.write("\n")
     return 0

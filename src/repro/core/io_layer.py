@@ -541,7 +541,8 @@ class TyphoonTransport(Transport):
         return term
 
     def send_log(self, stream_tuples: Sequence[StreamTuple],
-                 dsts: Sequence[int]) -> List[float]:
+                 dsts: Sequence[int],
+                 lane: Optional[int] = None) -> List[float]:
         """Replay a window's per-tuple sends ``send(t, [dst])`` as
         per-destination trains and return each send's total.
 
@@ -551,15 +552,25 @@ class TyphoonTransport(Transport):
         log, so frames reach the switch in the per-tuple order;
         segments that end without a flush follow. Buffers are created
         in the order the log first names each destination, which keeps
-        :meth:`flush`'s destination order too."""
+        :meth:`flush`'s destination order too.
+
+        ``lane`` names the destination of a spout's acked lane (one
+        ``(stream, source)`` envelope, no trace or sequencing stamps).
+        Its segments whose first tuple is anchored go out with
+        ``uniform=True``, so :func:`encode_train_uniform` patches them
+        when every tuple is anchored; the lane may mix in unanchored
+        tuples (an emission without a message id), and a segment that
+        starts with one is walked."""
         n = len(stream_tuples)
         if self.closed:
             return [0.0] * n
         first = dsts[0]
         if dsts.count(first) == n:
             totals: List[float] = []
-            self.send_interleaved(stream_tuples, first, 0.0, 0.0,
-                                  totals=totals)
+            self.send_interleaved(
+                stream_tuples, first, 0.0, 0.0,
+                first == lane and stream_tuples[0].anchor is not None,
+                totals=totals)
             return totals
         runs: Dict[int, List[int]] = {}
         for i, dst in enumerate(dsts):
@@ -589,8 +600,10 @@ class TyphoonTransport(Transport):
         totals = [0.0] * n
         part: List[float] = []
         for _, dst, run in segments:
-            self.send_interleaved([stream_tuples[i] for i in run], dst,
-                                  0.0, 0.0, totals=part)
+            train = [stream_tuples[i] for i in run]
+            self.send_interleaved(
+                train, dst, 0.0, 0.0,
+                dst == lane and train[0].anchor is not None, totals=part)
             for i, total in zip(run, part):
                 totals[i] = total
             part.clear()
@@ -610,12 +623,14 @@ class TyphoonTransport(Transport):
         switch-replicated one-to-many send).
 
         ``uniform=True`` is the caller's pledge that the whole batch
-        came off one collector's fast-sink lane — one shared
-        ``(stream, source_worker)`` envelope, no anchor/trace/seq
-        stamps — so :func:`encode_train_uniform` may encode a
-        column-uniform train as one replicated record with patched
-        numeric lanes instead of walking every value (it hands any
-        other batch to :func:`encode_train`). Bytes and costs are
+        came off one collector's lane — one shared ``(stream,
+        source_worker)`` envelope, no trace/seq stamps, and no anchor
+        unless the first tuple has one (the fast-sink lane carries
+        none; :meth:`send_log` passes an acked lane's segment only when
+        its first tuple is anchored) — so :func:`encode_train_uniform`
+        may encode a column-uniform train as one replicated record with
+        patched numeric lanes instead of walking every value (it hands
+        any other batch to :func:`encode_train`). Bytes and costs are
         unchanged either way.
 
         With a ``totals`` list, the walk appends each tuple's own send

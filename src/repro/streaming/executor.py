@@ -121,7 +121,7 @@ class _Collector(EmitterApi):
 
     __slots__ = ("_executor", "_component_name", "_worker_id", "_acking",
                  "buffered", "current_input", "child_xor", "extra_cost",
-                 "fast_pending", "fast_stream")
+                 "fast_pending", "fast_stream", "lane_sent", "lane_hop")
 
     def __init__(self, executor: "WorkerExecutor"):
         self._executor = executor
@@ -144,6 +144,13 @@ class _Collector(EmitterApi):
         #: batched send. ``None`` means normal buffering.
         self.fast_pending: Optional[List[StreamTuple]] = None
         self.fast_stream: int = DEFAULT_STREAM
+        #: Acked lane, installed only while the spout batch loop hands
+        #: the rest of a window to ``next_tuple_batch``: emit_many with
+        #: message ids on ``fast_stream`` (while nothing is buffered)
+        #: logs each root's ACK_INIT and anchored tuple, the tuple for
+        #: ``lane_hop``, and appends the tuple's log position here.
+        self.lane_sent: Optional[List[int]] = None
+        self.lane_hop: int = 0
 
     def charge(self, seconds: float) -> None:
         if seconds < 0:
@@ -191,14 +198,22 @@ class _Collector(EmitterApi):
         self.buffered.append((out, None))
 
     def emit_many(self, values_seq: Sequence[Sequence[Any]],
-                  stream: int = DEFAULT_STREAM) -> None:
-        # Batched lane for the fast-sink case: one pass with every
-        # per-call check hoisted, building the same tuples in the same
-        # order emit() would. Anything else falls back to the exact
-        # per-item loop of the base contract.
+                  stream: int = DEFAULT_STREAM,
+                  message_ids: Optional[Sequence[Any]] = None) -> None:
+        # Batched lanes for the spout window handoff: one pass with
+        # every per-call check hoisted, building the same tuples (and,
+        # acked, registering the same roots) in the same order emit()
+        # would. Anything else falls back to the exact per-item loop of
+        # the base contract.
+        if (message_ids is not None and self.lane_sent is not None
+                and stream == self.fast_stream and not self.buffered
+                and len(message_ids) == len(values_seq)):
+            self._emit_roots(values_seq, message_ids, stream)
+            return
         fast = self.fast_pending
         if (fast is not None and stream == self.fast_stream
                 and not self.buffered and not self._acking):
+            # Unacked: emit() ignores message ids here too.
             new = StreamTuple.__new__
             cls = StreamTuple
             name = self._component_name
@@ -218,9 +233,71 @@ class _Collector(EmitterApi):
                 out.seq = None
                 append(out)
             return
-        emit = self.emit
-        for values in values_seq:
-            emit(values, stream)
+        EmitterApi.emit_many(self, values_seq, stream, message_ids)
+
+    def _emit_roots(self, values_seq: Sequence[Sequence[Any]],
+                    message_ids: Sequence[Any], stream: int) -> None:
+        """The acked lane of :meth:`emit_many`: for each item, what
+        :meth:`emit` with its message id does and the spout loop's
+        per-call lane then logs, in one loop. ``_register_root``'s
+        steps are inlined in its order — the root id, then the edge id
+        from the executor's rng, the pending root, the ACK_INIT logged
+        for ``ackers[root % n]`` — then the anchored tuple, its replay
+        registration (when replay is on) and its log entry for the
+        lane's hop. A ``None`` id emits an unanchored tuple, as
+        :meth:`emit` does. A test pins this loop to ``_register_root``
+        and the per-call lane: same draws, same pending roots, same
+        log."""
+        executor = self._executor
+        draw = executor.rng.getrandbits
+        pending = executor.pending_roots
+        now = executor.engine.now
+        ackers = executor.ackers
+        nackers = len(ackers)
+        replay = executor.replay
+        log = executor._log_tuples
+        dsts = executor._log_dsts
+        log_append = log.append
+        dst_append = dsts.append
+        sent = self.lane_sent.append
+        hop = self.lane_hop
+        name = self._component_name
+        worker = self._worker_id
+        new = StreamTuple.__new__
+        cls = StreamTuple
+        _type = type
+        _tuple = tuple
+        for values, message_id in zip(values_seq, message_ids):
+            out = new(cls)
+            out.values = values if _type(values) is _tuple \
+                else _tuple(values)
+            out.stream = stream
+            out.source_component = name
+            out.source_worker = worker
+            out.anchor = None
+            out.trace_id = None
+            out.seq = None
+            if message_id is not None:
+                root = draw(64)
+                edge = draw(64)
+                pending[root] = _PendingRoot(message_id, now)
+                init = new(cls)
+                init.values = (ACK_INIT, root, edge, worker)
+                init.stream = ACK_STREAM
+                init.source_component = name
+                init.source_worker = worker
+                init.anchor = None
+                init.trace_id = None
+                init.seq = None
+                log_append(init)
+                dst_append(ackers[root % nackers])
+                out.anchor = Anchor(root, edge)
+                if replay is not None:
+                    replay.register_root(root, message_id, out.values,
+                                         stream)
+            sent(len(log))
+            log_append(out)
+            dst_append(hop)
 
     def emit_direct(self, worker_id: int, values: Sequence[Any],
                     stream: int = DEFAULT_STREAM) -> None:
@@ -1017,6 +1094,9 @@ class WorkerExecutor:
         # ACK_INITs' totals are discarded, as _register_root discards
         # them (DESIGN.md §5i). The call that arms the lane posted its
         # ACK_INIT before the lane existed, so that one was sent at once.
+        # A batch-capable spout then gets the rest of the window in one
+        # next_tuple_batch call, whose emit_many logs the same ACK_INITs
+        # and tuples (see _Collector._emit_roots).
         defer_ok = not tracing and not billed
         acked = self.acking
         fast_router = None
@@ -1030,12 +1110,11 @@ class WorkerExecutor:
         lane_sent: List[int] = []   # log positions of the lane's tuples
         log = self._log_tuples
         log_dsts = self._log_dsts
-        batch_next = (self._next_tuple_batch if defer_ok and not acked
-                      else None)
+        batch_next = self._next_tuple_batch if defer_ok else None
         handoff = False
         calls = 0
         while calls < limit:
-            if fast_sink and batch_next is not None:
+            if batch_next is not None and (fast_sink or lane is not None):
                 # Armed lane plus a batch-capable spout: hand the rest
                 # of the window to next_tuple_batch, after the loop.
                 handoff = True
@@ -1170,23 +1249,37 @@ class WorkerExecutor:
             # the spout for every remaining emission of this window.
             # Each emission replays as one next_tuple call that emitted
             # exactly one deferred tuple — the trailing dispatch below
-            # charges app_compute + send per tuple via pre_cost — and
-            # stopping short replays as a call that emitted nothing,
-            # which charges nothing. For a hook honouring its contract
-            # (single-stream emissions, no charge()), results are
-            # bit-identical to the scalar loop.
+            # charges app_compute + send per tuple (via pre_cost, or
+            # the lane log's folds when acked) — and stopping short
+            # replays as a call that emitted nothing, which charges
+            # nothing. For a hook honouring its contract (single-stream
+            # emissions, with message ids when acked, no charge()),
+            # results are bit-identical to the scalar loop.
+            if lane is not None:
+                collector.lane_sent = lane_sent
+                collector.lane_hop = lane_hop
+                collector.fast_stream = lane_stream
+            logged = len(lane_sent)
             try:
                 batch_next(collector, limit - calls)
-            except Exception as error:
+                error = None
+            except Exception as caught:
+                error = caught
+            collector.lane_sent = None
+            emitted += len(pending) - plen + len(lane_sent) - logged
+            if error is not None:
                 # Batch-granularity crash semantics (documented on the
                 # hook): every emission already made is dispatched
                 # ahead of the crash, like completed per-tuple calls.
-                emitted += len(pending) - plen
                 if pending:
                     cost = self._send_run(pending, fast_router, fast_bcast,
                                           cost)
                     marked += len(pending)
                     pending = []
+                if log:
+                    cost = self._send_lane_log(cost, lane, lane_sent)
+                    marked += len(lane_sent)
+                    lane_sent.clear()
                 if marked:
                     stats.emitted += marked
                     self.emitted_meter.mark(marked)
@@ -1194,29 +1287,31 @@ class WorkerExecutor:
                 self._crash(WorkerCrashed(
                     "spout %d crashed: %r" % (self.worker_id, error)
                 ))
-            else:
-                emitted += len(pending) - plen
-                if buffered or collector.extra_cost:
-                    # Contract deviation (slow-stream emissions or a
-                    # charge): dispatch the train first, preserving
-                    # emission order, then route the stragglers through
-                    # the generic machinery — deterministic, though not
-                    # a per-call replay (no call boundaries survive a
-                    # batch).
-                    if pending:
-                        cost = self._send_run(pending, fast_router,
-                                              fast_bcast, cost)
-                        marked += len(pending)
-                        pending.clear()
-                        plen = 0
-                    extra = collector.extra_cost
-                    if extra:
-                        cost += extra
-                        collector.extra_cost = 0.0
-                    n = len(buffered)
-                    cost += app_compute * n
-                    emitted += n
-                    cost += self._dispatch_emissions()
+            elif buffered or collector.extra_cost:
+                # Contract deviation (slow-stream or id-less emissions,
+                # or a charge): dispatch the train or window log first,
+                # preserving emission order, then route the stragglers
+                # through the generic machinery — deterministic, though
+                # not a per-call replay (no call boundaries survive a
+                # batch).
+                if pending:
+                    cost = self._send_run(pending, fast_router,
+                                          fast_bcast, cost)
+                    marked += len(pending)
+                    pending.clear()
+                    plen = 0
+                if log:
+                    cost = self._send_lane_log(cost, lane, lane_sent)
+                    marked += len(lane_sent)
+                    lane_sent.clear()
+                extra = collector.extra_cost
+                if extra:
+                    cost += extra
+                    collector.extra_cost = 0.0
+                n = len(buffered)
+                cost += app_compute * n
+                emitted += n
+                cost += self._dispatch_emissions()
         collector.fast_pending = None
         if pending:
             cost = self._send_run(pending, fast_router, fast_bcast, cost)
@@ -1260,15 +1355,18 @@ class WorkerExecutor:
         return self.transport.send_interleaved(
             run, router.next_hops[0], app_compute, cost, uniform=True)
 
-    def _send_lane_log(self, cost: float, router: Optional[Router],
+    def _send_lane_log(self, cost: float, router: Router,
                        sent: List[int]) -> float:
         """Send an acked spout window's log (see _emit_spout_batch) and
         fold ``cost += app_compute; cost += send total`` for each lane
         tuple at log positions ``sent``; the ACK_INITs' totals are
         dropped. The lane's one router advances as the per-tuple
-        ``route()`` calls would have."""
+        ``route()`` calls would have. ``send_log`` is told the lane's
+        hop: its tuples share one envelope, so their train may be
+        patched."""
         log = self._log_tuples
-        totals = self.transport.send_log(log, self._log_dsts)
+        totals = self.transport.send_log(log, self._log_dsts,
+                                         router.next_hops[0])
         app_compute = self.costs.app_compute_per_tuple
         for i in sent:
             cost += app_compute

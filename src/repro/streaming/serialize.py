@@ -35,7 +35,9 @@ is the repo's hottest real (wall-clock) path, so it is tuned for CPython
   (:func:`encode_train_uniform`): when every record has one width and
   each column is a constant or a signed-64/float lane, the first
   record is encoded once, repeated per tuple, and each lane is written
-  with eight strided slice assignments from a byteswapped ``array``.
+  with eight strided slice assignments from a byteswapped ``array``;
+  an acked spout's anchored train also patches its root and edge ids
+  as two unsigned-64 lanes.
   Trains shorter than :data:`_PATCH_MIN` (the measured crossover) and
   every other shape take :func:`encode_train`'s walk; there is no
   second per-value loop.
@@ -788,6 +790,9 @@ _PATCH_MIN = 8
 _CONSTANT_KINDS = frozenset((str, bytes, int, bool, type(None)))
 #: A varying column's 8-byte lane in the replicated first record.
 _PAD_LANE = bytes(8)
+#: Offset of an anchored record's root-id lane (the edge id's follows):
+#: just past the length prefix and the envelope.
+_ANCHOR_LANE = _RECORD_LEN.size + _ENVELOPE.size
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
 
@@ -798,14 +803,23 @@ def encode_train_uniform(
     _array=array, _len=len, _type=type, _set=set, _map=map, _sum=sum,
 ):
     """:func:`encode_train` for a *uniform* batch: every tuple shares the
-    one ``(stream, src)`` envelope passed in, and none carries an
-    anchor, trace or sequencing stamp. The caller owns that contract;
-    the spout fast-sink lane guarantees it by construction (one
-    collector emits the whole run on one stream; acking, tracing and
-    sequenced edges each disarm the lane before a stamp can be
-    applied). The bytes and the returned ``(data, bounds, rlens, ests,
-    objs, stream)`` are exactly what :func:`encode_train` produces for
-    the same tuples.
+    one ``(stream, src)`` envelope passed in, none carries a trace or
+    sequencing stamp, and none carries an anchor unless the first tuple
+    does. The caller owns that contract; the spout lanes guarantee it by
+    construction (one collector emits the whole run on one stream;
+    tracing and sequenced edges each disarm the lanes before a stamp
+    can be applied; the fast-sink lane never runs under acking, and the
+    acked lane's segments reach this encoder only when their first
+    tuple is anchored). The bytes and the returned ``(data, bounds,
+    rlens, ests, objs, stream)`` are exactly what :func:`encode_train`
+    produces for the same tuples.
+
+    When the first tuple is anchored, the train is patched only if every
+    tuple carries an :class:`Anchor` whose ids fit an unsigned 64-bit
+    lane: the records then carry the anchored flag, and the root and
+    edge ids are two more 8-byte lanes after the envelope. Any other
+    anchored train (an unanchored tuple among anchored ones, say) is
+    walked.
 
     A *column-uniform* train is never walked value by value. It has at
     least :data:`_PATCH_MIN` records of one width, and each column
@@ -829,9 +843,24 @@ def encode_train_uniform(
     columns = list(zip(*rows))
     if _len(columns) != width or _sum(_map(_len, rows)) != n * width:
         return encode_train(stream_tuples)
-    frame = bytearray(_PAD_RECORD_LEN + _ENVELOPE.pack(stream, src, 0, width))
+    if stream_tuples[0].anchor is None:
+        frame = bytearray(_PAD_RECORD_LEN
+                          + _ENVELOPE.pack(stream, src, 0, width))
+        lanes = []
+    else:
+        try:
+            roots = _array("Q", [stream_tuple.anchor.root_id
+                                 for stream_tuple in stream_tuples])
+            edges = _array("Q", [stream_tuple.anchor.edge_id
+                                 for stream_tuple in stream_tuples])
+        except (AttributeError, OverflowError, TypeError):
+            # An unanchored tuple, or an id outside [0, 2**64).
+            return encode_train(stream_tuples)
+        frame = bytearray(_PAD_RECORD_LEN
+                          + _ENVELOPE.pack(stream, src, _FLAG_ANCHORED, width)
+                          + _PAD_ANCHOR)
+        lanes = [(_ANCHOR_LANE, roots), (_ANCHOR_LANE + 8, edges)]
     est = 80
-    lanes = []
     for column in columns:
         value = column[0]
         kind = _type(value)

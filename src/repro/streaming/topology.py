@@ -75,13 +75,20 @@ class Spout(Component):
     #: Optional batch hook: ``next_tuple_batch(collector, want)`` emits up
     #: to ``want`` tuples in one call, each equivalent to one
     #: ``next_tuple`` call that emitted exactly one tuple. The executor
-    #: invokes it only on the non-acked, non-traced fast path, and
-    #: replays per-tuple costs as if ``next_tuple`` had been called once
-    #: per emission, so implementing it never changes results — only
-    #: call overhead. Implementations must emit on a single stream, must
-    #: not use ``charge()`` or direct emissions, and accept
-    #: batch-granularity crash semantics (an exception forfeits the
-    #: whole call). Leave as ``None`` for the classic per-call protocol.
+    #: invokes it, with or without acking, once a window's first
+    #: ``next_tuple`` call has armed a single-edge lane (never under
+    #: tracing or billed services), and replays per-tuple costs as if
+    #: ``next_tuple`` had been called once per emission, so implementing
+    #: it never changes results — only call overhead. Implementations
+    #: must emit on a single stream, passing ``emit_many`` the
+    #: ``message_ids`` that ``next_tuple`` would give (under acking that
+    #: call registers one root per emission in one loop); they must not
+    #: use ``charge()`` or direct emissions, and accept batch-granularity
+    #: crash semantics (an exception forfeits the rest of the call;
+    #: emissions made before it are sent). A hook that deviates (under
+    #: acking, also one that emits without ids or through ``emit``) is
+    #: handled deterministically, though not as a per-call replay.
+    #: Leave as ``None`` for the classic per-call protocol.
     next_tuple_batch = None
 
     def next_tuple(self, collector: "EmitterApi") -> None:
@@ -128,14 +135,24 @@ class EmitterApi:
         raise NotImplementedError
 
     def emit_many(self, values_seq: Sequence[Sequence[Any]],
-                  stream: int = DEFAULT_STREAM) -> None:
+                  stream: int = DEFAULT_STREAM,
+                  message_ids: Optional[Sequence[Any]] = None) -> None:
         """Bulk emit: exactly ``emit(values, stream)`` for each item, in
-        order (no anchors, no message ids — callers that need either
-        must emit those tuples one at a time). This default is
-        literally that loop; the runtime collector overrides it with a
-        batched lane that hoists the per-call checks out of the loop."""
-        for values in values_seq:
-            self.emit(values, stream)
+        order — or, with ``message_ids`` (one per item), ``emit(values,
+        stream, message_id=id)``, so a spout's batch hook can emit acked
+        roots. Anchored emissions must be made one at a time. This
+        default is literally that loop; the runtime collector overrides
+        it with batched lanes that hoist the per-call checks out of the
+        loop (and, under acking, register every root in one pass)."""
+        if message_ids is None:
+            for values in values_seq:
+                self.emit(values, stream)
+            return
+        if len(message_ids) != len(values_seq):
+            raise ValueError("emit_many: %d message ids for %d tuples"
+                             % (len(message_ids), len(values_seq)))
+        for values, message_id in zip(values_seq, message_ids):
+            self.emit(values, stream, message_id=message_id)
 
     def ack(self, stream_tuple: StreamTuple) -> None:
         raise NotImplementedError

@@ -133,13 +133,18 @@ class Transport:
         return cost
 
     def send_log(self, stream_tuples: Sequence[StreamTuple],
-                 dsts: Sequence[int]) -> List[float]:
+                 dsts: Sequence[int],
+                 lane: Optional[int] = None) -> List[float]:
         """Send a processing window's log: the messages the executor
         held back, each to its one destination, in send order. Returns
         each message's own send total, so the executor can fold the
-        costs in their per-tuple association. This default is literally
-        the per-tuple loop; Typhoon sends the log as per-destination
-        trains."""
+        costs in their per-tuple association. ``lane`` names the
+        destination of a spout's acked lane, whose messages share one
+        ``(stream, source)`` envelope and carry no trace or sequencing
+        stamp — a hint only. This default is literally the per-tuple
+        loop and ignores it; Typhoon sends the log as per-destination
+        trains and may patch the lane's (see
+        :meth:`send_interleaved`'s ``uniform``)."""
         return [self.send(stream_tuple, [dst])
                 for stream_tuple, dst in zip(stream_tuples, dsts)]
 

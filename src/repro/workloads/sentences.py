@@ -177,10 +177,8 @@ class SequenceSpout(Spout):
 
     def next_tuple_batch(self, collector: EmitterApi, want: int) -> None:
         """Batch hook (see :attr:`Spout.next_tuple_batch`): up to
-        ``want`` emissions in one call — same tuples, same order, same
-        limit handling as ``next_tuple``. Message ids are dropped:
-        they only matter under guaranteed processing, and the executor
-        never engages this hook while acking is on."""
+        ``want`` emissions in one call — same tuples, message ids,
+        order and limit handling as ``next_tuple``."""
         seq = self.seq
         stop = seq + want
         limit = self.limit
@@ -188,7 +186,8 @@ class SequenceSpout(Spout):
             stop = limit
         if seq < stop:
             payload = self.payload
-            collector.emit_many([(payload, s) for s in range(seq, stop)])
+            ids = range(seq, stop)
+            collector.emit_many([(payload, s) for s in ids], message_ids=ids)
             self.seq = stop
 
 

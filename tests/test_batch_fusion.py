@@ -13,12 +13,14 @@ an *optimization*, not a semantic change. These tests pin that down:
   counts, sequence-check results and delivery-ledger totals, acked runs
   (whose window logs then go out one record per tuple) identical ack
   latencies too;
-* the batch component hooks never engage where they would be unsound
-  (guaranteed processing), and batch-granularity faults stay
-  deterministic.
+* the batch component hooks change nothing where they engage: the
+  spout hook runs acked windows too (registering every root), while
+  bolts keep per-tuple ``execute`` under acking; batch-granularity
+  faults stay deterministic.
 """
 
 import random
+import struct
 from itertools import accumulate
 
 import pytest
@@ -27,7 +29,7 @@ from hypothesis import event, given, settings, strategies as st
 from repro.core import TyphoonCluster
 from repro.core import io_layer
 from repro.sim import Engine
-from repro.streaming import TopologyConfig
+from repro.streaming import StormCluster, TopologyConfig
 from repro.streaming import serialize
 from repro.streaming.serialize import (
     encode_train,
@@ -191,13 +193,17 @@ def _column_uniform(rows):
     return True
 
 
-def _assert_uniform_matches(rows, stream=7, src=-3):
+def _assert_uniform_matches(rows, stream=7, src=-3, anchors=None):
     """``encode_train_uniform`` against ``encode_train`` (all six
     fields) and per-record ``encode_tuple`` framing. It falls back to
-    ``encode_train`` exactly when the rows are not column-uniform;
+    ``encode_train`` exactly when the rows are not column-uniform or,
+    with ``anchors`` (one per row, the first set), when a row has none;
     returns whether it did."""
+    if anchors is None:
+        anchors = [None] * len(rows)
     batch = [StreamTuple(values=tuple(row), stream=stream,
-                         source_worker=src) for row in rows]
+                         source_worker=src, anchor=anchor)
+             for row, anchor in zip(rows, anchors)]
     general = serialize.encode_train
     fallbacks = []
     with pytest.MonkeyPatch.context() as patch:
@@ -208,7 +214,8 @@ def _assert_uniform_matches(rows, stream=7, src=-3):
     assert uniform == general(batch)
     assert uniform[0] == _per_tuple_frame_bytes(batch)
     assert fallbacks in ([], [batch])
-    assert (not fallbacks) == _column_uniform(rows)
+    all_or_none = anchors.count(None) in (0, len(anchors))
+    assert (not fallbacks) == (_column_uniform(rows) and all_or_none)
     return bool(fallbacks)
 
 
@@ -240,6 +247,35 @@ def test_encode_train_uniform_walks_unequal_widths(offset):
         assert _assert_uniform_matches(ragged)
 
 
+#: Root and edge ids at the edges of the unsigned 64-bit lane.
+_U64_EDGES = (0, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1)
+
+
+@pytest.mark.parametrize("size", [1, _PATCH_MIN - 1, _PATCH_MIN, 1000])
+def test_encode_train_uniform_patches_anchored_trains(size):
+    """An acked spout's lane train: every tuple anchored, root and edge
+    ids cycling through the u64 edges (each id against each other),
+    patched from ``_PATCH_MIN`` records on; one unanchored tuple
+    anywhere after the first makes it a walked train."""
+    rows = [("payload", seq) for seq in range(size)]
+    anchors = [Anchor(_U64_EDGES[i % 4], _U64_EDGES[i // 4 % 4])
+               for i in range(size)]
+    walked = _assert_uniform_matches(rows, 0, 3, anchors)
+    assert walked == (size < _PATCH_MIN)
+    for hole in {i for i in (1, size // 2, size - 1) if 0 < i < size}:
+        mixed = list(anchors)
+        mixed[hole] = None
+        assert _assert_uniform_matches(rows, 0, 3, mixed)
+    # Ids outside the lane fail as the walk fails.
+    for bad in (-1, 2 ** 64):
+        batch = [StreamTuple(values=row, anchor=Anchor(bad, 1))
+                 for row in rows]
+        for encode in (encode_train, lambda tuples:
+                       encode_train_uniform(tuples, 0, -1)):
+            with pytest.raises(struct.error):
+                encode(batch)
+
+
 _SCALARS = st.one_of(
     st.text(max_size=5), st.binary(max_size=5), st.integers(),
     st.booleans(), st.none(), st.floats(),
@@ -256,21 +292,37 @@ _POOLS = st.one_of(
     st.lists(_SCALARS, min_size=1, max_size=4))
 
 
+_ANCHOR_IDS = st.lists(st.one_of(st.sampled_from(_U64_EDGES),
+                                 st.integers(0, 2 ** 64 - 1)),
+                       min_size=1, max_size=4)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(st.sampled_from([1, _PATCH_MIN - 1, _PATCH_MIN, 1000]),
                  st.integers(1, 4 * _PATCH_MIN)),
        st.lists(_POOLS, max_size=4), st.integers(-1, 1),
-       st.integers(0, 0xFFFF), st.integers(-2 ** 31, 2 ** 31 - 1))
-def test_encode_train_uniform_property(size, pools, ragged, stream, src):
+       st.integers(0, 0xFFFF), st.integers(-2 ** 31, 2 ** 31 - 1),
+       st.sampled_from(("plain", "anchored", "mixed")), _ANCHOR_IDS,
+       _ANCHOR_IDS, st.integers(0, 4 * _PATCH_MIN))
+def test_encode_train_uniform_property(size, pools, ragged, stream, src,
+                                       anchoring, roots, edges, hole):
     """Random mixes of constant and varying columns, each cycled from a
-    small pool, with one row optionally a value short or long."""
+    small pool, with one row optionally a value short or long; plain,
+    all-anchored (root and edge ids cycled from their own pools) or
+    anchored from the first tuple on with one unanchored tuple."""
     rows = [[pool[i % len(pool)] for pool in pools] for i in range(size)]
     if ragged == -1 and pools:
         rows[size // 2].pop()
     elif ragged == 1:
         rows[-1].append(None)
-    event("walked" if _assert_uniform_matches(rows, stream, src)
-          else "patched")
+    anchors = None
+    if anchoring != "plain":
+        anchors = [Anchor(roots[i % len(roots)], edges[i % len(edges)])
+                   for i in range(size)]
+        if anchoring == "mixed" and size > 1:
+            anchors[1 + hole % (size - 1)] = None
+    walked = _assert_uniform_matches(rows, stream, src, anchors)
+    event("%s %s" % (anchoring, "walked" if walked else "patched"))
 
 
 def _anchored(rng, values, stream=0, src=3):
@@ -403,17 +455,22 @@ def _force_per_tuple(monkeypatch):
 
 
 def _run_forwarding(seed=0, batch_size=100, until=3.2, acking=False,
-                    hosts=1, rate=None):
+                    hosts=1, rate=None, ackers=1, replay=False,
+                    cluster_class=TyphoonCluster):
     engine = Engine()
-    cluster = TyphoonCluster(engine, num_hosts=hosts, seed=seed)
+    cluster = cluster_class(engine, num_hosts=hosts, seed=seed)
     config = TopologyConfig(batch_size=batch_size, acking=acking,
-                            num_ackers=1 if acking else 0,
-                            max_spout_rate=rate)
+                            num_ackers=ackers if acking else 0,
+                            max_spout_rate=rate, replay_enabled=replay)
     cluster.submit(forwarding_topology("fwd", config))
     engine.run(until=until)
     source = cluster.executors_for("fwd", "source")[0]
     sink = cluster.executors_for("fwd", "sink")[0]
     return {
+        # Every root in flight, and where the spout's rng stands.
+        "pending": [(root, p.message_id, p.emit_time)
+                    for root, p in source.pending_roots.items()],
+        "rng": source.rng.getstate(),
         "emitted": source.stats.emitted,
         "processed": sink.stats.processed,
         "count": sink.component.count,
@@ -462,15 +519,29 @@ def test_forwarding_fused_equals_forced_per_tuple(monkeypatch, batch_size):
     assert fused["processed"] > 0
 
 
-@pytest.mark.parametrize("hosts", [1, 2])
-@pytest.mark.parametrize("batch_size", [1, 7, 100])
-def test_acked_forwarding_fused_equals_forced_per_tuple(monkeypatch,
-                                                        batch_size, hosts):
+_ACKED_RUNS = [
+    pytest.param(dict(batch_size=batch_size, hosts=hosts),
+                 id="%d-%d" % (batch_size, hosts))
+    for hosts in (1, 2) for batch_size in (1, 7, 100)
+] + [
+    # Fig. 8(b): no rate limit, so the source's max_pending window binds.
+    pytest.param(dict(rate=None, until=2.25), id="max-pending"),
+    pytest.param(dict(replay=True), id="replay"),
+    pytest.param(dict(ackers=2), id="two-ackers"),
+    pytest.param(dict(cluster_class=StormCluster), id="storm"),
+]
+
+
+@pytest.mark.parametrize("case", _ACKED_RUNS)
+def test_acked_forwarding_fused_equals_forced_per_tuple(monkeypatch, case):
     """Acked windows send their ACK_INIT, data, ACK and COMPLETE logs as
-    trains; with train encoding forced off the same logs go out one
-    record per tuple. Deliveries, acks and every ack latency agree."""
-    run = dict(seed=7, batch_size=batch_size, until=3.0, acking=True,
-               hosts=hosts, rate=4000.0)
+    trains, the spout's batch hook emitting all but each window's first
+    root; with train encoding forced off and the hooks removed the same
+    logs go out one record and one call per tuple. Deliveries, acks,
+    every ack latency, the roots in flight and the spout's rng agree."""
+    run = dict(seed=7, batch_size=100, until=3.0, acking=True, hosts=2,
+               rate=4000.0)
+    run.update(case)
     fused = _run_forwarding(**run)
     with monkeypatch.context() as patch:
         _force_per_tuple(patch)
@@ -525,6 +596,49 @@ def test_spout_trains_take_the_patch_path(monkeypatch):
     assert walked == [len(words)]
 
 
+def test_acked_spout_takes_the_batch_hook_and_the_patch_path(monkeypatch):
+    """Identical outputs would hide a silent fallback, so count them: on
+    a two-host acked run, ``next_tuple`` runs once per window (the call
+    that arms the lane), ``next_tuple_batch`` emits the rest, every data
+    tuple rides an anchored lane train, and every such train of
+    ``_PATCH_MIN`` or more records is patched."""
+    calls = {"next_tuple": 0, "next_tuple_batch": 0}
+
+    def counting(name):
+        method = getattr(SequenceSpout, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(SequenceSpout, name, counting(name))
+    trains, walked = [], []
+    uniform = io_layer.encode_train_uniform
+    general = serialize.encode_train
+
+    def counting_uniform(tuples, stream, src):
+        assert all(st.anchor is not None for st in tuples)
+        trains.append(len(tuples))
+        return uniform(tuples, stream, src)
+
+    def counting_general(tuples):
+        walked.append(len(tuples))
+        return general(tuples)
+
+    monkeypatch.setattr(io_layer, "encode_train_uniform", counting_uniform)
+    monkeypatch.setattr(serialize, "encode_train", counting_general)
+    result = _run_forwarding(seed=1, batch_size=100, until=3.0, acking=True,
+                             hosts=2, rate=4000.0)
+    windows = calls["next_tuple"]
+    assert windows == calls["next_tuple_batch"] > 10
+    assert result["emitted"] == 100 * windows
+    assert sum(trains) == result["emitted"]
+    assert sum(n >= _PATCH_MIN for n in trains) > 10
+    assert walked == [n for n in trains if n < _PATCH_MIN]
+
+
 def test_batch_hooks_alone_change_nothing(monkeypatch):
     """Trains stay on; only the component batch hooks are removed. The
     executor must produce identical results either way."""
@@ -536,9 +650,10 @@ def test_batch_hooks_alone_change_nothing(monkeypatch):
     assert fused == forced
 
 
-def test_acked_run_never_engages_batch_hooks(monkeypatch):
-    """Under guaranteed processing the batch hooks must be inert: an
-    acked run with the hooks present equals one with them removed."""
+def test_acked_run_batch_hooks_change_nothing(monkeypatch):
+    """Under guaranteed processing the spout's batch hook engages and
+    the bolt's does not; either way an acked run with the hooks present
+    equals one with them removed."""
     with_hooks = _run_forwarding(seed=5, acking=True)
     with monkeypatch.context() as patch:
         patch.setattr(SequenceSpout, "next_tuple_batch", None)

@@ -1,10 +1,13 @@
 """Unit tests for the command-line interface."""
 
+import inspect
 import io
 import json
 
 import pytest
 
+from repro import cli
+from repro.bench.harness import ExperimentResult
 from repro.cli import EXPERIMENTS, build_parser, cmd_list_experiments, main
 
 
@@ -41,6 +44,42 @@ def test_experiment_table5_renders():
     assert code == 0
     assert "Table 5" in text
     assert "Dynamic provisioning" in text
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_every_experiment_binds_one_positional_seed(name):
+    # cmd_experiment passes the seed positionally; it must land in a
+    # parameter named seed (fig9's first parameter is its sink sweep).
+    bound = inspect.signature(EXPERIMENTS[name]).bind(7)
+    assert list(bound.arguments) == ["seed"]
+
+
+def test_experiment_passes_the_seed(monkeypatch):
+    seeds = []
+
+    def runner(seed=0):
+        seeds.append(seed)
+        return ExperimentResult("stub")
+
+    monkeypatch.setitem(cli.EXPERIMENTS, "fig9", runner)
+    code, text = run_cli(["experiment", "fig9", "--seed", "3"])
+    assert code == 0 and "stub" in text
+    assert seeds == [3]
+
+
+def test_experiment_type_error_propagates(monkeypatch):
+    # An error inside an experiment surfaces; it is never rerun with
+    # its default arguments.
+    calls = []
+
+    def runner(seed=0):
+        calls.append(seed)
+        raise TypeError("inside the experiment")
+
+    monkeypatch.setitem(cli.EXPERIMENTS, "fig9", runner)
+    with pytest.raises(TypeError, match="inside the experiment"):
+        cli.cmd_experiment("fig9", 1, out=io.StringIO())
+    assert calls == [1]
 
 
 def test_wordcount_typhoon_runs():

@@ -443,3 +443,181 @@ def test_spout_completion_loop_matches_per_tuple_branch(raising,
                in loop.replay.take_due(100.0, 100)]
         assert due == [(entry.message_id, entry.attempts) for entry
                        in reference.replay.take_due(100.0, 100)]
+
+
+# -- the acked batch hook -----------------------------------------------------
+
+
+def _lane_spout(spout, replay=False, batch_size=10):
+    """A live acked spout executor with one shuffle edge to worker 2 and
+    two ackers (9 and 10), so ``root % 2`` picks each ACK_INIT's acker."""
+    engine = Engine()
+    executor = WorkerExecutor(
+        engine=engine,
+        costs=DEFAULT_COSTS,
+        assignment=WorkerAssignment(worker_id=1, component="comp",
+                                    task_index=0, hostname="h"),
+        node=LogicalNode("comp", SPOUT, lambda: spout),
+        config=TopologyConfig(acking=True, batch_size=batch_size),
+        transport=FakeTransport(),
+        routers={("down", 0): Router(Grouping(SHUFFLE), [2])},
+        metrics=MetricsRegistry(engine),
+        rng=SeedFactory(1).rng("w"),
+        topology_id="t",
+        ackers=[9, 10],
+    )
+    executor.alive = True
+    if replay:
+        executor.replay = ReplayBuffer(1)
+    return executor
+
+
+def _root_state(executor):
+    """Everything root registration touches, comparable across runs."""
+    replay = executor.replay
+    return {
+        "rng": executor.rng.getstate(),
+        "pending": [(root, p.message_id, p.emit_time)
+                    for root, p in executor.pending_roots.items()],
+        "replay": None if replay is None else (
+            replay.stats(), dict(replay._roots),
+            [(mid, e.values, e.stream, sorted(e.roots), e.order)
+             for mid, e in replay._entries.items()]),
+    }
+
+
+@pytest.mark.parametrize("replay", [False, True])
+def test_acked_emit_many_matches_register_root(replay):
+    """The acked lane of emit_many inlines _register_root: per item, the
+    root then the edge id are drawn, the pending root and ACK_INIT are
+    logged, then the anchored tuple (and its replay registration). It
+    must leave exactly what emit() with each message id leaves when the
+    per-call lane logs its tuple; a None id emits an unanchored tuple."""
+    ids = [0, 1, None, 3, 2 ** 70, ("m", 5), 6]
+    values = [("payload", i) for i in range(len(ids))]
+    per_call = _lane_spout(Spout(), replay)
+    batched = _lane_spout(Spout(), replay)
+    per_call._logging = batched._logging = True
+    sent = []
+    for row, message_id in zip(values, ids):
+        per_call.collector.emit(row, message_id=message_id)
+        (out, direct), = per_call.collector.take()
+        assert direct is None
+        sent.append(len(per_call._log_tuples))
+        per_call._log_tuples.append(out)
+        per_call._log_dsts.append(2)
+    collector = batched.collector
+    collector.lane_sent = []
+    collector.lane_hop = 2
+    collector.emit_many(values, message_ids=ids)
+    assert collector.lane_sent == sent
+    assert batched._log_tuples == per_call._log_tuples
+    assert batched._log_dsts == per_call._log_dsts
+    assert sorted(set(per_call._log_dsts)) == [2, 9, 10]
+    assert _root_state(batched) == _root_state(per_call)
+    assert len(batched.pending_roots) == len(ids) - 1
+    assert not collector.buffered
+
+
+class _ScriptedSpout(Spout):
+    """(payload, n) tuples with message id n; the batch hook runs
+    ``script(self, collector, want)``."""
+
+    def __init__(self, script=None):
+        self.seq = 0
+        self.hook_calls = 0
+        self.script = script
+
+    def next_tuple(self, collector):
+        collector.emit(("p", self.seq), message_id=self.seq)
+        self.seq += 1
+
+    def ids(self, count):
+        ids = range(self.seq, self.seq + count)
+        self.seq += count
+        return ids
+
+    def next_tuple_batch(self, collector, want):
+        self.hook_calls += 1
+        self.script(self, collector, want)
+
+
+def _window(spout, **kwargs):
+    executor = _lane_spout(spout, **kwargs)
+    emitted, cost = executor._emit_spout_batch()
+    return executor, emitted, cost
+
+
+def _sent(executor):
+    return [(st.values, st.stream, st.anchor, dsts)
+            for st, dsts in executor.transport.sent]
+
+
+def _per_call(count, **kwargs):
+    """The same window from a spout without the batch hook."""
+    spout = _ScriptedSpout()
+    spout.next_tuple_batch = None
+    executor, emitted, cost = _window(spout, **kwargs)
+    assert emitted == count
+    return executor, cost
+
+
+@pytest.mark.parametrize("replay", [False, True])
+def test_acked_window_hands_the_rest_to_the_batch_hook(replay):
+    """One per-call next_tuple arms the lane; the hook emits the other
+    nine of the window with message ids. Sends, their order, the cost
+    (bit for bit), the rng and every pending root equal the window of a
+    spout without the hook."""
+    def script(spout, collector, want):
+        ids = spout.ids(want)
+        collector.emit_many([("p", i) for i in ids], message_ids=ids)
+
+    spout = _ScriptedSpout(script)
+    executor, emitted, cost = _window(spout, replay=replay)
+    reference, reference_cost = _per_call(10, replay=replay)
+    assert (emitted, spout.hook_calls) == (10, 1)
+    assert cost == reference_cost
+    assert _sent(executor) == _sent(reference)
+    assert _root_state(executor) == _root_state(reference)
+    assert executor.stats.emitted == reference.stats.emitted == 10
+
+
+def test_acked_hook_crash_sends_what_it_emitted():
+    """A raise inside the hook is handled at batch granularity: the
+    emissions made before it (ACK_INITs and tuples) are sent ahead of
+    the crash, and count as emitted."""
+    def script(spout, collector, want):
+        ids = spout.ids(4)
+        collector.emit_many([("p", i) for i in ids], message_ids=ids)
+        raise RuntimeError("source gone")
+
+    executor, emitted, cost = _window(_ScriptedSpout(script))
+    reference, reference_cost = _per_call(5, batch_size=5)
+    assert not executor.alive and executor.stats.crashes == 1
+    assert emitted == executor.stats.emitted == 5
+    assert cost == reference_cost
+    assert _sent(executor) == _sent(reference)
+    assert _root_state(executor)["pending"] == \
+        _root_state(reference)["pending"]
+
+
+def test_acked_hook_without_ids_takes_the_deviation_path():
+    """emit_many without message ids is a contract deviation: the window
+    log goes out first, then the id-less tuples, unanchored and routed
+    by the generic dispatch; no root is registered for them."""
+    def script(spout, collector, want):
+        collector.emit_many([("bare", i) for i in range(3)])
+
+    executor, emitted, cost = _window(_ScriptedSpout(script))
+    assert emitted == executor.stats.emitted == 4
+    sent = _sent(executor)
+    # The arming call's ACK_INIT went out at once, then its tuple from
+    # the log; the deviation's tuples follow, unanchored.
+    assert [values for values, *_ in sent] == [
+        ("init",) + sent[0][0][1:], ("p", 0),
+        ("bare", 0), ("bare", 1), ("bare", 2)]
+    assert sent[1][2] is not None
+    assert [anchor for _, _, anchor, _ in sent[2:]] == [None] * 3
+    assert [dsts for *_, dsts in sent[1:]] == [[2]] * 4
+    assert len(executor.pending_roots) == 1
+    assert executor.alive

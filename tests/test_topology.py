@@ -13,6 +13,7 @@ from repro.streaming import (
     TopologyConfig,
     TopologyError,
 )
+from repro.streaming.topology import EmitterApi
 
 
 class DummySpout(Spout):
@@ -154,3 +155,30 @@ def test_config_defaults():
     assert not config.acking
     assert config.batch_size == 100
     assert config.tuple_timeout == 30.0
+
+
+class RecordingEmitter(EmitterApi):
+    def __init__(self):
+        self.calls = []
+
+    def emit(self, values, stream=0, anchor=None, message_id=None):
+        self.calls.append((values, stream, anchor, message_id))
+
+
+def test_default_emit_many_with_message_ids_emits_each():
+    """The base emit_many is exactly emit(values, stream, message_id=id)
+    per item, in order; without ids it passes none; unequal lengths are
+    refused before anything is emitted."""
+    rows = [("a", 1), ("b", 2), ("c", 3)]
+    batched, single = RecordingEmitter(), RecordingEmitter()
+    batched.emit_many(rows, 5, message_ids=[10, None, "m"])
+    for values, message_id in zip(rows, [10, None, "m"]):
+        single.emit(values, 5, message_id=message_id)
+    assert batched.calls == single.calls
+    bare = RecordingEmitter()
+    bare.emit_many(rows)
+    assert bare.calls == [(values, 0, None, None) for values in rows]
+    refused = RecordingEmitter()
+    with pytest.raises(ValueError):
+        refused.emit_many(rows, message_ids=[1, 2])
+    assert refused.calls == []
