@@ -23,6 +23,7 @@ from repro.streaming import (
 )
 
 from conftest import run_once, show
+from figure_golden import check_golden
 
 
 class _MaxSpout(Spout):
@@ -69,6 +70,7 @@ def _batch_ablation():
 def test_ablation_batch_size_amortization(benchmark):
     result = run_once(benchmark, _batch_ablation)
     show(result)
+    check_golden("ablation-batch-size", result)
     # Unbatched I/O pays a JNI crossing + packet per tuple: much slower.
     assert result.scalars["batch_1"] < 0.5 * result.scalars["batch_100"]
     # Amortization saturates: 100 vs 500 within 10%.
@@ -123,6 +125,7 @@ def _scheduler_ablation():
 def test_ablation_locality_scheduler(benchmark):
     result = run_once(benchmark, _scheduler_ablation)
     show(result)
+    check_golden("ablation-locality", result)
     # Round-robin scatters every stage across both hosts, so each of the
     # 5 edges is ~50% remote (2.5 edge-volumes). Block placement keeps 3
     # consecutive stages per host: one fully-remote boundary (1.0).

@@ -14,6 +14,7 @@ import pytest
 from repro.bench import fig10_fault
 
 from conftest import run_once, show
+from figure_golden import check_golden
 
 _cache = {}
 
@@ -27,6 +28,7 @@ def _run(system):
 def test_fig10_storm_throughput_halves(benchmark):
     result = run_once(benchmark, _run, "storm")
     show(result)
+    check_golden("fig10-storm", result)
     ratio = result.scalars["post_over_pre"]
     assert 0.35 < ratio < 0.65  # drops to about half
 
@@ -34,6 +36,7 @@ def test_fig10_storm_throughput_halves(benchmark):
 def test_fig10_typhoon_throughput_maintained(benchmark):
     result = run_once(benchmark, _run, "typhoon")
     show(result)
+    check_golden("fig10-typhoon", result)
     ratio = result.scalars["post_over_pre"]
     assert ratio > 0.9  # maintained
 

@@ -14,6 +14,7 @@ import pytest
 from repro.bench import fig11_autoscale
 
 from conftest import run_once, show
+from figure_golden import check_golden
 
 _cache = {}
 
@@ -27,6 +28,7 @@ def _run(system):
 def test_fig11a_storm_oom_cycles(benchmark):
     result = run_once(benchmark, _run, "storm")
     show(result)
+    check_golden("fig11-storm", result)
     # Repeated OOM deaths -> repeated supervisor restarts.
     assert result.scalars["worker_restarts"] >= 2
     # The count stage cannot sustain the input rate (splits cap it).
@@ -36,6 +38,7 @@ def test_fig11a_storm_oom_cycles(benchmark):
 def test_fig11bc_typhoon_scales_up(benchmark):
     result = run_once(benchmark, _run, "typhoon")
     show(result)
+    check_golden("fig11-typhoon", result)
     assert result.scalars["scale_ups"] >= 1
     assert result.scalars["final_split_parallelism"] == 3
     # After scaling, the pipeline keeps up with the input rate.

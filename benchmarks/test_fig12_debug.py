@@ -12,6 +12,7 @@ import pytest
 from repro.bench import fig12_debug
 
 from conftest import run_once, show
+from figure_golden import check_golden
 
 _cache = {}
 
@@ -25,6 +26,7 @@ def _run(system):
 def test_fig12_storm_throughput_drops(benchmark):
     result = run_once(benchmark, _run, "storm")
     show(result)
+    check_golden("fig12-storm", result)
     ratio = result.scalars["during_over_before"]
     assert ratio < 0.85  # visible degradation while debugging
     # And it recovers once logging stops.
@@ -35,6 +37,7 @@ def test_fig12_storm_throughput_drops(benchmark):
 def test_fig12_typhoon_unaffected(benchmark):
     result = run_once(benchmark, _run, "typhoon")
     show(result)
+    check_golden("fig12-typhoon", result)
     ratio = result.scalars["during_over_before"]
     assert ratio > 0.93  # network-level mirroring is free for workers
 

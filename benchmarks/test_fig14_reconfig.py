@@ -12,11 +12,13 @@ import pytest
 from repro.bench import fig14_reconfig
 
 from conftest import run_once, show
+from figure_golden import check_golden
 
 
 def test_fig14_runtime_logic_update(benchmark):
     result = run_once(benchmark, fig14_reconfig)
     show(result)
+    check_golden("fig14", result)
     scalars = result.scalars
     assert scalars["reconfig_ok"] == 1.0
     # Parse input is unaffected by the downstream filter change.

@@ -12,11 +12,13 @@ import pytest
 from repro.bench import table5_debugger
 
 from conftest import run_once, show
+from figure_golden import check_golden
 
 
 def test_table5_capability_matrix(benchmark):
     result = run_once(benchmark, table5_debugger)
     show(result)
+    check_golden("table5", result)
     assert result.scalars["typhoon_dynamic"] == 1.0
     assert result.scalars["storm_multi_serialization"] == 1.0
     # The matrix carries all four compared properties.

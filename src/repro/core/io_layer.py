@@ -35,7 +35,7 @@ from ..sim.audit import (
     R_TUNNEL_UNROUTABLE,
     DeliveryLedger,
 )
-from ..sim.costs import CostModel
+from ..sim.costs import CostFold, CostModel
 from ..sim.engine import Engine
 from ..sim.trace import (
     H_BATCH,
@@ -122,7 +122,7 @@ class HostFabric:
             # hint, so the delivery matches what a decode would build.
             view = _TrainAnnotation(annotated.objs, annotated.rlens, None,
                                     annotated.start, annotated.end,
-                                    annotated.est, False)
+                                    annotated.est, False, annotated.rlen)
             view.claimed = True
             frame = EthernetFrame(dst=frame.dst, src=frame.src,
                                   ethertype=frame.ethertype,
@@ -198,14 +198,18 @@ class _TrainAnnotation:
     receivers behind a host tunnel (a claimed remote view). ``est``
     is the window's store-sizer charge when the encoder precomputed it
     (an exact integer — see ``ests`` in
-    :func:`repro.streaming.serialize.encode_train`), else ``None``."""
+    :func:`repro.streaming.serialize.encode_train`), else ``None``.
+    ``rlen`` is the one length every record of ``rlens`` shares, when
+    the sender found one, so the receiver charges the window with one
+    fold; ``None`` leaves it the per-record walk."""
 
     __slots__ = ("objs", "rlens", "stream", "start", "end", "est",
-                 "released", "claimed")
+                 "released", "claimed", "rlen")
 
     def __init__(self, objs: List[StreamTuple], rlens: List[int],
                  stream: Optional[int], start: int, end: int,
-                 est: Optional[int], released: bool):
+                 est: Optional[int], released: bool,
+                 rlen: Optional[int] = None):
         self.objs = objs
         self.rlens = rlens
         self.stream = stream
@@ -214,6 +218,7 @@ class _TrainAnnotation:
         self.est = est
         self.released = released
         self.claimed = False
+        self.rlen = rlen
 
 
 def train_window(frame: EthernetFrame) -> Optional[List[int]]:
@@ -258,15 +263,16 @@ class _TrainChunk:
     ``data[bounds[i] + 4 : bounds[i + 1]]`` (the 4 bytes are its
     ``u32`` length prefix, already in the packets layer's MULTI record
     framing). Chunks never carry trace ids — a stamped batch refuses
-    train encoding before any chunk exists."""
+    train encoding before any chunk exists. ``rlen`` is the length every
+    record of the train shares, or ``None`` when the lengths differ."""
 
     __slots__ = ("data", "bounds", "rlens", "ests", "objs", "all_fast",
-                 "stream", "start", "end")
+                 "stream", "start", "end", "rlen")
 
     def __init__(self, data: bytes, bounds: List[int], rlens: List[int],
                  ests: List[int], objs: List[Optional[StreamTuple]],
                  all_fast: bool, stream: Optional[int], start: int,
-                 end: int):
+                 end: int, rlen: Optional[int]):
         self.data = data
         self.bounds = bounds
         self.rlens = rlens
@@ -276,6 +282,7 @@ class _TrainChunk:
         self.stream = stream
         self.start = start
         self.end = end
+        self.rlen = rlen
 
 
 class _SendBuffer(list):
@@ -369,6 +376,12 @@ class TyphoonTransport(Transport):
         # _recv_terms:  deserialize_per_tuple + rlen * deserialize_per_byte
         self._train_terms: Dict[int, float] = {}
         self._recv_terms: Dict[int, float] = {}
+        # A train whose records share one length charges each run of
+        # those terms with one fold (see :class:`CostFold`): the send
+        # side's ``cost += pre_cost; cost += term`` per record, the
+        # receive side's ``cost += term``.
+        self.send_fold = CostFold()
+        self.recv_fold = CostFold()
 
     # -- attachment --------------------------------------------------------
 
@@ -645,9 +658,7 @@ class TyphoonTransport(Transport):
             if totals is not None:
                 totals.extend([0.0] * len(stream_tuples))
                 return cost
-            for _ in stream_tuples:
-                cost += pre_cost
-            return cost
+            return self.send_fold(cost, (pre_cost,), len(stream_tuples))
         costs = self.costs
         ser_per_tuple = costs.serialize_per_tuple
         ser_per_byte = costs.serialize_per_byte
@@ -696,15 +707,27 @@ class TyphoonTransport(Transport):
             term_get = terms.get
             n = len(objs)
             seg = 0
-            prev_rlen = -1
-            term = 0.0
             # Flush positions are arithmetic (every batch_size-th
             # tuple), so the per-tuple loop splits into flush-delimited
             # runs: inside a run there is no batch-counter bookkeeping
-            # and no branch — just the replayed cost additions, with
-            # the memoized (serialize + enqueue) term refreshed only
-            # when the record length changes (identical float
+            # and no branch — just the replayed cost additions of the
+            # memoized (serialize + enqueue) term (identical float
             # expression, same operation order as the per-tuple walk).
+            # When every record has one length (a fixed-shape workload),
+            # each run is one fold of ``(pre_cost, term)``; otherwise
+            # the run is walked, refreshing the term only when the
+            # record length changes.
+            shared = rlens[0]
+            if rlens.count(shared) == n:
+                term = term_get(shared)
+                if term is None:
+                    term = self._train_term(shared)
+                steps = (pre_cost, term)
+                fold = self.send_fold
+            else:
+                shared = None
+                prev_rlen = -1
+                term = 0.0
             i = 0
             while i < n:
                 # A shrunken batch_size (control tuple) can leave the
@@ -714,7 +737,12 @@ class TyphoonTransport(Transport):
                 if fi < i:
                     fi = i
                 stop = fi if fi < n else n
-                if totals is None:
+                if shared is not None:
+                    if totals is None:
+                        cost = fold(cost, steps, stop - i)
+                    else:
+                        totals += [term] * (stop - i)
+                elif totals is None:
                     for rlen in rlens[i:stop]:
                         cost += pre_cost
                         if rlen != prev_rlen:
@@ -736,7 +764,7 @@ class TyphoonTransport(Transport):
                 tcost = ser_per_tuple + rlens[fi] * ser_per_byte
                 end = fi + 1
                 append(_TrainChunk(data, bounds, rlens, ests, objs,
-                                   all_fast, tstream, seg, end))
+                                   all_fast, tstream, seg, end, shared))
                 buffer.tuples += end - seg
                 seg = end
                 dcost = enqueue_cost
@@ -750,7 +778,7 @@ class TyphoonTransport(Transport):
                 i = end
             if seg < n:
                 append(_TrainChunk(data, bounds, rlens, ests, objs,
-                                   all_fast, tstream, seg, n))
+                                   all_fast, tstream, seg, n, shared))
                 buffer.tuples += n - seg
         else:
             # Stamped batch: one record per tuple, as send() queues it.
@@ -924,7 +952,7 @@ class TyphoonTransport(Transport):
                 ests = chunk.ests
                 annotation = _TrainAnnotation(
                     chunk.objs, chunk.rlens, chunk.stream, start, end,
-                    ests[end] - ests[start], True)
+                    ests[end] - ests[start], True, chunk.rlen)
                 self.frames_sent += 1
                 self.switch.inject(self.port_no, EthernetFrame(
                     dst=address, src=self.address,
@@ -957,6 +985,7 @@ class TyphoonTransport(Transport):
         records = [item[0] for item in items]
         objs = [item[1] for item in items]
         rlens = [len(record) for record in records]
+        shared = rlens[0] if rlens.count(rlens[0]) == len(rlens) else None
         payloads, self._frag_id, spans = pack_tuples_spans(
             records, self.mtu, self._frag_id)
         # One JNI crossing per batch handed to the southbound library.
@@ -975,7 +1004,7 @@ class TyphoonTransport(Transport):
                         break
                 else:
                     annotation = _TrainAnnotation(objs, rlens, None, start,
-                                                  end, None, False)
+                                                  end, None, False, shared)
             frames.append(EthernetFrame(dst=address, src=src_address,
                                         ethertype=TYPHOON_ETHERTYPE,
                                         payload=payload, tuples=annotation))
@@ -1056,19 +1085,27 @@ class TyphoonTransport(Transport):
             # the memoized deserialize term is the identical float
             # expression per record length, added in record order, so
             # the accumulated cost is bit-identical to the decode walk.
+            # A window of one record length is one fold of its term.
             per_tuple = costs.deserialize_per_tuple
             per_byte = costs.deserialize_per_byte
             terms = self._recv_terms
             term_get = terms.get
-            prev_rlen = -1
-            term = 0.0
-            for rlen in annotated.rlens[start:end]:
-                if rlen != prev_rlen:
-                    term = term_get(rlen)
-                    if term is None:
-                        term = terms[rlen] = per_tuple + rlen * per_byte
-                    prev_rlen = rlen
-                cost += term
+            shared = annotated.rlen
+            if shared is not None:
+                term = term_get(shared)
+                if term is None:
+                    term = terms[shared] = per_tuple + shared * per_byte
+                cost = self.recv_fold(cost, (term,), end - start)
+            else:
+                prev_rlen = -1
+                term = 0.0
+                for rlen in annotated.rlens[start:end]:
+                    if rlen != prev_rlen:
+                        term = term_get(rlen)
+                        if term is None:
+                            term = terms[rlen] = per_tuple + rlen * per_byte
+                        prev_rlen = rlen
+                    cost += term
             est = annotated.est
             if est is None:
                 # The store's OOM sizer (delivery_bytes) is prepaid

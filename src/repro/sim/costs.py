@@ -19,6 +19,7 @@ All times are in (virtual) seconds, sizes in bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Tuple
 
 US = 1e-6  # one microsecond
 MS = 1e-3  # one millisecond
@@ -111,6 +112,70 @@ class CostModel:
 
 
 DEFAULT_COSTS = CostModel()
+
+
+class CostFold:
+    """Charge ``n`` repetitions of a fixed run of cost additions.
+
+    ``fold(cost, steps, n)`` is, by definition, the loop::
+
+        for _ in range(n):
+            for step in steps:
+                cost += step
+
+    and returns its result bit for bit: a batched path that charges a
+    train this way adds the same floats in the same order as the
+    per-tuple path it replays. A steady-state train repeats its window's
+    ``(cost, steps, n)`` train after train, so the last answer is
+    memoized and a call with the same key returns it without the loop.
+    Floats are exact keys except that ``0.0 == -0.0``; keys that compare
+    equal differ at most in the signs of zeros, which can change only a
+    zero result, so only nonzero results are memoized.
+
+    Each call site owns one instance (the transport's send and receive
+    charges, the executor's batch hook); the memo holds one entry, so it
+    is bounded by construction. ``hits`` and ``misses`` count the calls
+    answered from the memo and by the loop.
+    """
+
+    __slots__ = ("_cost", "_steps", "_n", "_value", "hits", "misses")
+
+    def __init__(self) -> None:
+        self._cost = 0.0
+        self._steps: Tuple[float, ...] = ()
+        self._n = -1
+        self._value = 0.0
+        self.hits = 0
+        self.misses = 0
+
+    def __call__(self, cost: float, steps: Tuple[float, ...],
+                 n: int) -> float:
+        if n == self._n and cost == self._cost and steps == self._steps:
+            self.hits += 1
+            return self._value
+        self.misses += 1
+        start = cost
+        # The loop, unrolled for the one- and two-step runs the call
+        # sites charge (same additions, same order).
+        if len(steps) == 1:
+            step = steps[0]
+            for _ in range(n):
+                cost += step
+        elif len(steps) == 2:
+            first, second = steps
+            for _ in range(n):
+                cost += first
+                cost += second
+        else:
+            for _ in range(n):
+                for step in steps:
+                    cost += step
+        if cost:
+            self._cost = start
+            self._steps = steps
+            self._n = n
+            self._value = cost
+        return cost
 
 
 def transmission_delay(costs: CostModel, nbytes: int, remote: bool) -> float:

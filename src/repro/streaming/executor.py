@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..sim.costs import CostModel
+from ..sim.costs import CostFold, CostModel
 from ..sim.engine import Engine, Event, Interrupt, Process
 from ..sim.metrics import MetricsRegistry, RateMeter
 from ..sim.queues import Store
@@ -443,6 +443,8 @@ class WorkerExecutor:
         self._execute_batch = getattr(self.component, "execute_batch", None)
         self._next_tuple_batch = getattr(self.component, "next_tuple_batch",
                                          None)
+        #: Charges an ``execute_batch`` delivery's per-tuple app compute.
+        self.batch_fold = CostFold()
         self.pending_roots: Dict[int, _PendingRoot] = {}
         #: Framework-level replay buffer (attached in ``start`` when the
         #: topology enables it); None keeps the legacy fail-and-forget path.
@@ -713,8 +715,8 @@ class WorkerExecutor:
             # ``tcost = app_compute + extra`` with ``extra == 0.0`` for
             # a compliant (non-charging) component, and ``x + 0.0`` is
             # bitwise ``x`` for the finite cost constants — so adding
-            # ``app_compute`` once per tuple reproduces the identical
-            # float-accumulation sequence.
+            # ``app_compute`` once per tuple, one fold, reproduces the
+            # identical float-accumulation sequence.
             tuples = delivery.tuples
             collector = self.collector
             try:
@@ -728,11 +730,9 @@ class WorkerExecutor:
                     % (self.worker_id, self.component_name, error)
                 ))
                 return cost
-            app_compute = self.costs.app_compute_per_tuple
-            n = 0
-            for _ in tuples:
-                cost += app_compute
-                n += 1
+            n = len(tuples)
+            cost = self.batch_fold(
+                cost, (self.costs.app_compute_per_tuple,), n)
             extra = collector.extra_cost
             if extra:
                 # Deviation from the hook contract (charge() inside a

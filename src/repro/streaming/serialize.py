@@ -38,9 +38,10 @@ is the repo's hottest real (wall-clock) path, so it is tuned for CPython
   with eight strided slice assignments from a byteswapped ``array``;
   an acked spout's anchored train also patches its root and edge ids
   as two unsigned-64 lanes.
-  Trains shorter than :data:`_PATCH_MIN` (the measured crossover) and
-  every other shape take :func:`encode_train`'s walk; there is no
-  second per-value loop.
+  Trains shorter than :data:`_PATCH_MIN` (the measured crossover;
+  :data:`_ANCHORED_PATCH_MIN` for anchored trains) and every other
+  shape take :func:`encode_train`'s walk; there is no second
+  per-value loop.
 
 The byte layout is unchanged — encode/decode are byte-for-byte
 compatible with the pre-optimization codec, including the optional
@@ -785,6 +786,10 @@ def encode_train(
 #: benchmark's ``(str, int)`` shape, the two cross between 6 and 8
 #: records (DESIGN.md §5d).
 _PATCH_MIN = 8
+#: Fewest records an *anchored* train is patched from. Its two id lanes
+#: add sixteen strided slice assignments to the setup, so on the same
+#: shape the patch path only overtakes the walk at 16 records.
+_ANCHORED_PATCH_MIN = 16
 #: Exact types a constant column may hold. Never ``float``: equal
 #: floats can differ in bits (``0.0 == -0.0``) and NaN equals nothing.
 _CONSTANT_KINDS = frozenset((str, bytes, int, bool, type(None)))
@@ -814,12 +819,12 @@ def encode_train_uniform(
     rlens, ests, objs, stream)`` are exactly what :func:`encode_train`
     produces for the same tuples.
 
-    When the first tuple is anchored, the train is patched only if every
-    tuple carries an :class:`Anchor` whose ids fit an unsigned 64-bit
-    lane: the records then carry the anchored flag, and the root and
-    edge ids are two more 8-byte lanes after the envelope. Any other
-    anchored train (an unanchored tuple among anchored ones, say) is
-    walked.
+    When the first tuple is anchored, the train is patched only if it
+    has at least :data:`_ANCHORED_PATCH_MIN` records and every tuple
+    carries an :class:`Anchor` whose ids fit an unsigned 64-bit lane:
+    the records then carry the anchored flag, and the root and edge ids
+    are two more 8-byte lanes after the envelope. Any other anchored
+    train (an unanchored tuple among anchored ones, say) is walked.
 
     A *column-uniform* train is never walked value by value. It has at
     least :data:`_PATCH_MIN` records of one width, and each column
@@ -835,7 +840,8 @@ def encode_train_uniform(
     batch goes to :func:`encode_train`.
     """
     n = _len(stream_tuples)
-    if n < _PATCH_MIN:
+    if n < _PATCH_MIN or (n < _ANCHORED_PATCH_MIN
+                          and stream_tuples[0].anchor is not None):
         return encode_train(stream_tuples)
     rows = [stream_tuple.values for stream_tuple in stream_tuples]
     width = _len(rows[0])

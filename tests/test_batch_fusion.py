@@ -145,6 +145,7 @@ def test_encode_train_uniform_container_delegates():
 # -- column-uniform trains: the patch path ------------------------------------
 
 _PATCH_MIN = serialize._PATCH_MIN
+_ANCHORED_PATCH_MIN = serialize._ANCHORED_PATCH_MIN
 _I64_EDGES = (-2 ** 63, 2 ** 63 - 1)
 #: Signed zeros, NaN, both infinities and subnormals.
 _FLOAT_EDGES = (0.0, -0.0, float("nan"), float("inf"), float("-inf"),
@@ -174,9 +175,10 @@ _WALKED = {
 }
 
 
-def _column_uniform(rows):
-    """The patch path's eligibility rule, written out independently."""
-    if len(rows) < _PATCH_MIN or len({len(row) for row in rows}) != 1:
+def _column_uniform(rows, minimum=_PATCH_MIN):
+    """The patch path's eligibility rule, written out independently;
+    ``minimum`` is the fewest records it patches."""
+    if len(rows) < minimum or len({len(row) for row in rows}) != 1:
         return False
     for column in zip(*rows):
         kinds = {type(value) for value in column}
@@ -197,8 +199,9 @@ def _assert_uniform_matches(rows, stream=7, src=-3, anchors=None):
     """``encode_train_uniform`` against ``encode_train`` (all six
     fields) and per-record ``encode_tuple`` framing. It falls back to
     ``encode_train`` exactly when the rows are not column-uniform or,
-    with ``anchors`` (one per row, the first set), when a row has none;
-    returns whether it did."""
+    with ``anchors`` (one per row, the first set), when there are fewer
+    than ``_ANCHORED_PATCH_MIN`` or a row has none; returns whether it
+    did."""
     if anchors is None:
         anchors = [None] * len(rows)
     batch = [StreamTuple(values=tuple(row), stream=stream,
@@ -215,7 +218,10 @@ def _assert_uniform_matches(rows, stream=7, src=-3, anchors=None):
     assert uniform[0] == _per_tuple_frame_bytes(batch)
     assert fallbacks in ([], [batch])
     all_or_none = anchors.count(None) in (0, len(anchors))
-    assert (not fallbacks) == (_column_uniform(rows) and all_or_none)
+    minimum = _ANCHORED_PATCH_MIN if anchors and anchors[0] is not None \
+        else _PATCH_MIN
+    assert (not fallbacks) == (_column_uniform(rows, minimum)
+                               and all_or_none)
     return bool(fallbacks)
 
 
@@ -251,17 +257,21 @@ def test_encode_train_uniform_walks_unequal_widths(offset):
 _U64_EDGES = (0, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1)
 
 
-@pytest.mark.parametrize("size", [1, _PATCH_MIN - 1, _PATCH_MIN, 1000])
+@pytest.mark.parametrize("size", sorted({
+    1, _PATCH_MIN - 1, _PATCH_MIN, _ANCHORED_PATCH_MIN - 1,
+    _ANCHORED_PATCH_MIN, 1000}))
 def test_encode_train_uniform_patches_anchored_trains(size):
     """An acked spout's lane train: every tuple anchored, root and edge
     ids cycling through the u64 edges (each id against each other),
-    patched from ``_PATCH_MIN`` records on; one unanchored tuple
-    anywhere after the first makes it a walked train."""
+    patched from ``_ANCHORED_PATCH_MIN`` records on (a plain train of
+    ``_PATCH_MIN`` is patched, an anchored one walked); one unanchored
+    tuple anywhere after the first makes it a walked train."""
     rows = [("payload", seq) for seq in range(size)]
     anchors = [Anchor(_U64_EDGES[i % 4], _U64_EDGES[i // 4 % 4])
                for i in range(size)]
     walked = _assert_uniform_matches(rows, 0, 3, anchors)
-    assert walked == (size < _PATCH_MIN)
+    assert walked == (size < _ANCHORED_PATCH_MIN)
+    assert _assert_uniform_matches(rows, 0, 3) == (size < _PATCH_MIN)
     for hole in {i for i in (1, size // 2, size - 1) if 0 < i < size}:
         mixed = list(anchors)
         mixed[hole] = None
@@ -298,7 +308,9 @@ _ANCHOR_IDS = st.lists(st.one_of(st.sampled_from(_U64_EDGES),
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(st.sampled_from([1, _PATCH_MIN - 1, _PATCH_MIN, 1000]),
+@given(st.one_of(st.sampled_from([1, _PATCH_MIN - 1, _PATCH_MIN,
+                                  _ANCHORED_PATCH_MIN - 1,
+                                  _ANCHORED_PATCH_MIN, 1000]),
                  st.integers(1, 4 * _PATCH_MIN)),
        st.lists(_POOLS, max_size=4), st.integers(-1, 1),
        st.integers(0, 0xFFFF), st.integers(-2 ** 31, 2 ** 31 - 1),
@@ -551,6 +563,29 @@ def test_acked_forwarding_fused_equals_forced_per_tuple(monkeypatch, case):
     assert len(fused["latencies"]) > 0
 
 
+def test_steady_state_window_hits_every_fold():
+    """Fig. 8(a) forwarding in steady state: every window repeats the
+    last one's charges, so the spout transport's send fold, the sink
+    transport's receive fold and the sink's batch-hook fold answer a
+    window's trains from their memos, with no loop run."""
+    engine = Engine()
+    cluster = TyphoonCluster(engine, num_hosts=1, seed=11)
+    cluster.submit(forwarding_topology("fwd", TopologyConfig(batch_size=100)))
+    engine.run(until=2.03)
+    source = cluster.executors_for("fwd", "source")[0]
+    sink = cluster.executors_for("fwd", "sink")[0]
+    folds = {"send": cluster.transports[source.worker_id].send_fold,
+             "receive": cluster.transports[sink.worker_id].recv_fold,
+             "batch": sink.batch_fold}
+    before = {name: (fold.hits, fold.misses) for name, fold in folds.items()}
+    processed = sink.stats.processed
+    engine.run(until=2.031)
+    assert sink.stats.processed - processed >= 200
+    for name, fold in folds.items():
+        hits, misses = before[name]
+        assert fold.hits > hits and fold.misses == misses, name
+
+
 def test_broadcast_fused_equals_forced_per_tuple(monkeypatch):
     fused = _run_broadcast(seed=3)
     with monkeypatch.context() as patch:
@@ -601,7 +636,7 @@ def test_acked_spout_takes_the_batch_hook_and_the_patch_path(monkeypatch):
     a two-host acked run, ``next_tuple`` runs once per window (the call
     that arms the lane), ``next_tuple_batch`` emits the rest, every data
     tuple rides an anchored lane train, and every such train of
-    ``_PATCH_MIN`` or more records is patched."""
+    ``_ANCHORED_PATCH_MIN`` or more records is patched."""
     calls = {"next_tuple": 0, "next_tuple_batch": 0}
 
     def counting(name):
@@ -635,8 +670,8 @@ def test_acked_spout_takes_the_batch_hook_and_the_patch_path(monkeypatch):
     assert windows == calls["next_tuple_batch"] > 10
     assert result["emitted"] == 100 * windows
     assert sum(trains) == result["emitted"]
-    assert sum(n >= _PATCH_MIN for n in trains) > 10
-    assert walked == [n for n in trains if n < _PATCH_MIN]
+    assert sum(n >= _ANCHORED_PATCH_MIN for n in trains) > 10
+    assert walked == [n for n in trains if n < _ANCHORED_PATCH_MIN]
 
 
 def test_batch_hooks_alone_change_nothing(monkeypatch):
@@ -653,14 +688,29 @@ def test_batch_hooks_alone_change_nothing(monkeypatch):
 def test_acked_run_batch_hooks_change_nothing(monkeypatch):
     """Under guaranteed processing the spout's batch hook engages and
     the bolt's does not; either way an acked run with the hooks present
-    equals one with them removed."""
-    with_hooks = _run_forwarding(seed=5, acking=True)
+    equals one with them removed. The unthrottled run stops a few
+    virtual milliseconds after the spout starts, once windows have gone
+    through the hook, roots have completed and others are in flight."""
+    calls = {"hooked": 0, "plain": 0}
+    hook = SequenceSpout.next_tuple_batch
+    run = "hooked"
+
+    def counting(self, collector, limit):
+        calls[run] += 1
+        return hook(self, collector, limit)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SequenceSpout, "next_tuple_batch", counting)
+        with_hooks = _run_forwarding(seed=5, acking=True, until=2.015)
+    run = "plain"
     with monkeypatch.context() as patch:
         patch.setattr(SequenceSpout, "next_tuple_batch", None)
         patch.setattr(SequenceCheckBolt, "execute_batch", None)
-        without = _run_forwarding(seed=5, acking=True)
+        without = _run_forwarding(seed=5, acking=True, until=2.015)
     assert with_hooks == without
+    assert calls["hooked"] >= 5 and calls["plain"] == 0
     assert with_hooks["processed"] > 0
+    assert with_hooks["latencies"] and with_hooks["pending"]
 
 
 class _FaultyBatchSink(Bolt):

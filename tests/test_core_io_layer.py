@@ -421,3 +421,52 @@ def test_mixed_frame_first_delivery_adopts_released_train(engine):
         assert all(t.source_component == "" for t in delivery.tuples)
     assert first.cost.hex() == second.cost.hex()
     assert first.nbytes == second.nbytes
+
+
+def test_mixed_length_train_takes_the_per_record_walk(engine):
+    """Word-count words have many record lengths, so neither end of the
+    train folds: the send side walks each flush-delimited run and the
+    receive side each window, and both costs equal the per-tuple path's
+    (per-tuple sends; the decode walk of the same payloads) bit for
+    bit."""
+    words = ("the cow jumped over the moon and the dish ran away with "
+             "the spoon while a little dog laughed to see such sport").split()
+    pre_cost = DEFAULT_COSTS.app_compute_per_tuple
+
+    def batch():
+        return [StreamTuple((word, 1), source_component="split",
+                            source_worker=1) for word in words]
+
+    batched, fabric = _capturing_transport(engine, batch=8)
+    cost = batched.send_interleaved(batch(), 2, pre_cost, 0.25)
+    single, _ = _capturing_transport(engine, batch=8)
+    expected = 0.25
+    for stream_tuple in batch():
+        expected += pre_cost
+        expected += single.send(stream_tuple, [2])
+    assert cost.hex() == expected.hex()
+    assert batched.flush().hex() == single.flush().hex()
+    assert (batched.send_fold.hits, batched.send_fold.misses) == (0, 0)
+
+    def receiver():
+        deliveries = []
+        transport = TyphoonTransport(engine, DEFAULT_COSTS, 2, app_id=1,
+                                     host_fabric=_CaptureFabric())
+        transport.deliver = lambda delivery: deliveries.append(delivery) \
+            or True
+        return transport, deliveries
+
+    lane, laned = receiver()
+    walk, walked = receiver()
+    frames = fabric.switch.frames
+    assert len(frames) == 3
+    for frame in frames:
+        assert frame.tuples is not None and frame.tuples.rlen is None
+        lane._on_frame(frame, None)
+        walk._on_frame(EthernetFrame(dst=frame.dst, src=frame.src,
+                                     ethertype=frame.ethertype,
+                                     payload=frame.payload), None)
+    assert [d.cost.hex() for d in laned] == [d.cost.hex() for d in walked]
+    assert [[t.values for t in d.tuples] for d in laned] \
+        == [[t.values for t in d.tuples] for d in walked]
+    assert (lane.recv_fold.hits, lane.recv_fold.misses) == (0, 0)
