@@ -3,8 +3,9 @@ rows/series the evaluation section reports.
 
 Each experiment function in :mod:`repro.bench.figures` returns a typed
 result object; the helpers here render them as aligned text tables and
-ASCII series so the benchmark runs are self-describing (see
-``bench_output.txt`` / EXPERIMENTS.md).
+ASCII series so the benchmark runs are self-describing (run the figure
+tests with ``-s`` to see them; ``tests/golden/figures.json`` holds a
+captured seed-0 run, EXPERIMENTS.md the paper comparison).
 """
 
 from __future__ import annotations

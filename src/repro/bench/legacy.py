@@ -9,7 +9,7 @@ only, each compared against its optimized counterpart:
 * the codec, for ``tests/test_serialize_golden.py`` (byte-for-byte);
 * the engine, for ``tests/test_sim_determinism.py`` (identical
   execution order);
-* the flow table, for ``tests/test_flow_cache.py`` (same winning
+* the flow table, for ``tests/test_sdn_flow.py`` (same winning
   entry on every frame).
 
 Nothing in the runtime imports this module. Do not "optimize" it.
@@ -236,8 +236,8 @@ class LegacyEngine:
 
 
 class LegacyFlowTable:
-    """The pre-PR priority table: one flat list, sorted on every insert,
-    linearly scanned on every lookup, no exact-match cache."""
+    """The original priority table: one flat list, sorted on every
+    insert, linearly scanned on every lookup."""
 
     def __init__(self):
         self._entries: List[FlowEntry] = []

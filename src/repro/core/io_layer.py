@@ -1009,10 +1009,8 @@ class TyphoonTransport(Transport):
                                         ethertype=TYPHOON_ETHERTYPE,
                                         payload=payload, tuples=annotation))
         self.frames_sent += len(frames)
-        # The whole flush rides one switch call: the train fast path
-        # classifies the shared header once and replays the per-frame
-        # busy-server arithmetic (identical schedule), falling back to
-        # per-frame inject whenever anything non-trivial is armed.
+        # A flush of several frames is one switch call, which forwards
+        # them frame by frame.
         if len(frames) == 1:
             self.switch.inject(self.port_no, frames[0])
         elif frames:

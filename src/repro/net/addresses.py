@@ -41,8 +41,8 @@ class WorkerAddress:
         if not 0 <= self.worker_id <= 0xFFFFFFFF:
             raise ValueError("worker_id out of range: %r" % (self.worker_id,))
         # Addresses key every hot-path dict (transport batch buffers,
-        # switch ports, flow caches); precompute the hash once instead of
-        # re-hashing the field tuple on each lookup.
+        # switch ports); precompute the hash once instead of re-hashing
+        # the field tuple on each lookup.
         object.__setattr__(self, "_hash", hash((self.app_id, self.worker_id)))
 
     def pack(self) -> bytes:

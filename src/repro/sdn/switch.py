@@ -44,7 +44,6 @@ from .flow import (
     Output,
     SetDlDst,
     SetTunnelDst,
-    train_forward_plan,
 )
 from .group import GroupEntry, GroupTable
 from .openflow import (
@@ -225,6 +224,11 @@ class SoftwareSwitch:
     #: dropped tail-first and attributed in the delivery ledger.
     MAX_PENDING_CONTROLLER = 512
 
+    #: The switch keeps no lookup cache; the benchmark's counters still
+    #: read these two names.
+    cache_hits = 0
+    cache_misses = 0
+
     def __init__(self, engine: Engine, costs: CostModel, dpid: str,
                  idle_sweep_interval: float = 1.0,
                  ledger: Optional[DeliveryLedger] = None,
@@ -248,7 +252,7 @@ class SoftwareSwitch:
         self.table_misses = 0
         self.group_misses = 0
         self.meter_drops = 0
-        #: Batch-forwarding telemetry: fused trains accepted.
+        #: Multi-frame flushes received through :meth:`inject_train`.
         self.trains = 0
         #: Set by the controller when it connects; receives event Messages.
         #: With named channels registered this is a derived pointer to the
@@ -275,20 +279,6 @@ class SoftwareSwitch:
         self._reply_override: Optional[Callable[[Message], None]] = None
         self._sweep_interval = idle_sweep_interval
         self._sweeper = engine.process(self._sweep_idle(), name="sweep:%s" % dpid)
-
-    # -- exact-match cache telemetry --------------------------------------
-
-    @property
-    def cache_hits(self) -> int:
-        return self.flows.cache.hits
-
-    @property
-    def cache_misses(self) -> int:
-        return self.flows.cache.misses
-
-    @property
-    def cache_hit_rate(self) -> float:
-        return self.flows.cache.hit_rate
 
     # -- controller connectivity ------------------------------------------
 
@@ -468,7 +458,6 @@ class SoftwareSwitch:
         number = self._next_port
         self._next_port += 1
         self.ports[number] = SwitchPort(number, name, sink, kind)
-        self.flows.invalidate_cache()
         self._notify_controller(
             PortStatus(self.dpid, number, name, PORT_ADD),
             self.costs.port_event_latency,
@@ -481,7 +470,6 @@ class SoftwareSwitch:
         port = self.ports.pop(number, None)
         if port is None:
             return
-        self.flows.invalidate_cache()
         self._notify_controller(
             PortStatus(self.dpid, number, port.name, PORT_DELETE),
             self.costs.port_event_latency,
@@ -533,9 +521,6 @@ class SoftwareSwitch:
         if self.up:
             return
         self.up = True
-        # The reconnect hands the controller a blank table; any cached
-        # lookups from the previous incarnation must not survive it.
-        self.flows.invalidate_cache()
         self._notify_controller(SwitchReconnect(self.dpid),
                                 self.costs.port_event_latency)
         for number in sorted(self.ports):
@@ -615,9 +600,6 @@ class SoftwareSwitch:
             self.groups.get(mod.group_id).set_buckets(list(mod.buckets))
         elif mod.command == DELETE:
             self.groups.remove(mod.group_id)
-        # Group contents changed under existing rules: conservatively
-        # drop memoized lookups so no stale resolution can survive.
-        self.flows.invalidate_cache()
 
     def _apply_meter_mod(self, mod: MeterMod) -> None:
         if not self.up:
@@ -737,9 +719,6 @@ class SoftwareSwitch:
             if tracer is not None:
                 tracer.frame_drop(frame, LAYER_SWITCH, R_TABLE_MISS)
             return False
-        # Cache hits and priority-table hits bump the same flow-entry
-        # counters: FlowStatsReply, the stats monitor and the
-        # auto-scaler see identical numbers either way.
         entry.touch(self.engine.now, len(frame))
         if tracer is not None:
             tracer.frame_event(frame, H_SWITCH, dpid=self.dpid)
@@ -756,107 +735,11 @@ class SoftwareSwitch:
         return True
 
     def inject_train(self, in_port: int, frames) -> None:
-        """Receive a batch of same-headed frames on ``in_port`` (one
-        transport flush) and forward them as a *train*.
-
-        Fast path: classify one representative header with a single
-        megaflow lookup, precompile the action list into a pure
-        forwarding plan (:func:`train_forward_plan`), then move the
-        whole batch in one fused loop that replays :meth:`inject`'s
-        per-frame busy-server arithmetic term for term — same flow
-        counter touches, same backlog checks, same per-copy departure
-        times, same sink-event schedule. Falls back to per-frame
-        :meth:`inject` whenever anything could diverge: switch down, a
-        live tracer, divergent headers, a table miss, or actions beyond
-        plain Output/SetTunnelDst forwarding (meters, groups, rewrites,
-        controller punts).
-        """
-        if len(frames) < 2:
-            for frame in frames:
-                self.inject(in_port, frame)
-            return
-        if not self.up or self._live_tracer() is not None:
-            for frame in frames:
-                self.inject(in_port, frame)
-            return
-        first = frames[0]
-        dst = first.dst
-        src = first.src
-        ethertype = first.ethertype
-        for frame in frames:
-            if (frame.dst is not dst and frame.dst != dst) \
-                    or (frame.src is not src and frame.src != src) \
-                    or frame.ethertype != ethertype:
-                for divergent in frames:
-                    self.inject(in_port, divergent)
-                return
-        entry = self.flows.lookup_cached(first, in_port)
-        out_ports = None
-        if entry is not None:
-            plan = train_forward_plan(entry.actions)
-            if plan is not None:
-                out_ports = []
-                for port_no, tun in plan:
-                    port = self.ports.get(port_no)
-                    if port is None or not port.up:
-                        out_ports = None
-                        break
-                    out_ports.append((port, tun))
-        if out_ports is None:
-            # Miss or non-trivial actions: per-frame matching (the
-            # representative probe above only warmed the cache).
-            for frame in frames:
-                self.inject(in_port, frame)
-            return
+        """Receive one transport flush of several frames on ``in_port``
+        and forward each frame by :meth:`inject`."""
         self.trains += 1
-        engine = self.engine
-        now = engine.now
-        schedule = engine.schedule
-        costs = self.costs
-        lookup_cost = costs.switch_lookup_per_packet
-        copy_per_output = costs.switch_copy_per_output
-        copy_per_byte = costs.switch_copy_per_byte
-        loopback = costs.loopback_latency
-        ledger = self.ledger
-        rx_port = self.ports.get(in_port)
-        max_backlog = self.MAX_BACKLOG_SECONDS
-        busy = self._busy_until
-        touch = entry.touch
-        forwarded = 0
-        dropped = 0
         for frame in frames:
-            nbytes = len(frame)
-            if rx_port is not None:
-                rx_port.rx_packets += 1
-                rx_port.rx_bytes += nbytes
-            if busy - now > max_backlog:
-                dropped += 1
-                if ledger is not None:
-                    ledger.record_frame_drop(LAYER_SWITCH,
-                                             R_BACKLOG_OVERFLOW, frame)
-                continue
-            touch(now, nbytes)
-            # inject(): start = max(now, busy); finish = start + lookup.
-            finish = (busy if busy > now else now) + lookup_cost
-            busy = finish
-            forwarded += 1
-            copies = 0
-            ready = finish
-            for port, tun in out_ports:
-                # _output(): finish = max(ready_at, busy) + copy_cost,
-                # and ready_at == busy at every step of a pure plan.
-                finish = ready + (copy_per_output + nbytes * copy_per_byte)
-                busy = finish
-                port.tx_packets += 1
-                port.tx_bytes += nbytes
-                schedule((finish - now) + loopback, port.sink, frame, tun)
-                ready = finish
-                copies += 1
-            if ledger is not None:
-                ledger.record_frame_replicated(frame, copies - 1)
-        self._busy_until = busy
-        self.packets_forwarded += forwarded
-        self.packets_dropped += dropped
+            self.inject(in_port, frame)
 
     def _run_actions(
         self,

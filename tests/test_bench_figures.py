@@ -49,11 +49,8 @@ def test_table5_is_fast_and_complete():
 def _fig8_counters(engine, cluster):
     transports = [executor.transport for component in ("source", "sink")
                   for executor in cluster.executors_for("fwd", component)]
-    switches = cluster.fabric.switches()
     stats = engine.stats()
     return {
-        "cache_hits": sum(s.cache_hits for s in switches),
-        "cache_misses": sum(s.cache_misses for s in switches),
         "tuples_sent": sum(t.tuples_sent for t in transports),
         "fused_tuples": sum(t.fused_tuples for t in transports),
         "events": stats["events_executed"],
@@ -64,9 +61,9 @@ def _fig8_counters(engine, cluster):
 
 def test_fig8_steady_state_gates():
     """Fig. 8(a) forwarding over its first steady window, [2.4, 2.8] vs:
-    the switch answers from its flow cache, tuples ride the fused train
-    path, and the calendar queue keeps heap work and entry allocations
-    per event low. Every ratio is seed-determined."""
+    tuples ride the fused train path, and the calendar queue keeps heap
+    work and entry allocations per event low. Every ratio is
+    seed-determined."""
     engine = Engine()
     cluster = _cluster("typhoon", engine, hosts=1, seed=0)
     cluster.submit(forwarding_topology("fwd", TopologyConfig(batch_size=100)))
@@ -75,8 +72,6 @@ def test_fig8_steady_state_gates():
     engine.run(until=2.8)
     after = _fig8_counters(engine, cluster)
     delta = {key: after[key] - before[key] for key in after}
-    hits = delta["cache_hits"]
-    assert hits / (hits + delta["cache_misses"]) >= 0.95
     assert delta["fused_tuples"] / delta["tuples_sent"] >= 0.95
     assert delta["heap_ops"] / delta["events"] <= 1.5
     assert delta["entry_allocs"] / delta["events"] <= 0.5

@@ -161,6 +161,17 @@ def run_fwd_remote():
     return _forwarding(hosts=2, until=2.1)
 
 
+def run_fwd_local_batch250():
+    """Batch 250: every flush is larger than one 8,950-byte frame, so
+    the switch receives multi-frame flushes through ``inject_train``."""
+    return _forwarding(hosts=1, batch_size=250)
+
+
+def run_fwd_remote_batch250():
+    """Multi-frame flushes across the tunnel."""
+    return _forwarding(hosts=2, until=2.1, batch_size=250)
+
+
 def run_fwd_acked_remote():
     """Acked windows: each window's ACK_INIT, anchored data, ACK_ACK and
     COMPLETE sends go out through ``send_log`` as trains; acker XOR
@@ -283,6 +294,8 @@ def run_stats_monitor():
 SHAPES: Dict[str, Callable[[], Dict[str, Any]]] = {
     "fwd-local": run_fwd_local,
     "fwd-remote": run_fwd_remote,
+    "fwd-local-batch250": run_fwd_local_batch250,
+    "fwd-remote-batch250": run_fwd_remote_batch250,
     "fwd-acked-remote": run_fwd_acked_remote,
     "fwd-acked-two-ackers": run_fwd_acked_two_ackers,
     "fwd-acked-batch7": run_fwd_acked_batch7,

@@ -3,11 +3,13 @@
 import pytest
 
 from repro.core import TyphoonCluster
-from repro.core.apps import LiveDebugger
+from repro.core.apps import FaultDetector, LiveDebugger
 from repro.core.rest import RestApi
 from repro.sim import Engine
 from repro.streaming import TopologyConfig
 from repro.workloads import SplitBolt, word_count_topology
+from repro.workloads.chaosflow import DEDUP_SERVICE, DedupRegistry
+from repro.workloads.replicated import replicated_topology
 
 
 def start():
@@ -252,3 +254,25 @@ def test_bandwidth_route():
     status, payload = api.handle("GET", "/bandwidth")
     assert status == 200
     assert payload["flows"] == [] and payload["meters_installed"] == 0
+
+
+def test_replication_route():
+    engine = Engine()
+    cluster = TyphoonCluster(engine, num_hosts=3, seed=0)
+    api = RestApi(cluster)
+    status, payload = api.handle("GET", "/replication")
+    assert status == 404
+    assert payload["error"] == "no replication groups"
+    # The replicated workload as the replication property tests build it.
+    cluster.register_app(FaultDetector(cluster))
+    cluster.services[DEDUP_SERVICE] = DedupRegistry(at_least_once=False)
+    cluster.submit(replicated_topology("prop", TopologyConfig(
+        batch_size=50, max_spout_rate=400.0, reliable_control=True)))
+    engine.run(until=4.0)
+    status, payload = api.handle("GET", "/replication")
+    assert status == 200
+    assert payload["totals"] == cluster.replication.totals()
+    assert payload["totals"]["commits"] > 0
+    group = payload["groups"]["prop/rstate"]
+    assert len(group["alive"]) == 3
+    assert group["leader"] in group["alive"]

@@ -2,8 +2,24 @@
 
 import pytest
 
-from repro.net import BROADCAST, TYPHOON_ETHERTYPE, EthernetFrame, WorkerAddress
-from repro.sdn import FlowEntry, FlowTable, GroupAction, Match, Output, SetDlDst, SetTunnelDst
+from repro.bench.legacy import LegacyFlowTable
+from repro.net import (
+    BROADCAST,
+    CONTROLLER_ADDRESS,
+    TYPHOON_ETHERTYPE,
+    EthernetFrame,
+    WorkerAddress,
+)
+from repro.sdn import (
+    OFPP_CONTROLLER,
+    FlowEntry,
+    FlowTable,
+    GroupAction,
+    Match,
+    Output,
+    SetDlDst,
+    SetTunnelDst,
+)
 
 
 def frame(src=1, dst=2, app=1, ethertype=TYPHOON_ETHERTYPE, payload=b"p"):
@@ -217,3 +233,79 @@ def test_miss_path_short_circuits_without_entries():
     # Table fully drained: no buckets left to scan.
     assert table._buckets == {} and table._priorities == []
     assert table.lookup(frame(), 1) is None
+
+
+# -- a Table-3 host rule set against the linearly scanned reference ----------------
+
+#: Workers on the host; worker ``wid`` sits on port ``TUNNEL_PORT + 1 + wid``.
+TABLE3_WORKERS = 12
+TUNNEL_PORT = 1
+
+
+def _table3_entries():
+    """A representative Table-3 rule set for one fig8/fig9-style host:
+    local transfers between every worker pair (quadratic in collocated
+    workers, so a 12-worker host carries ~170 rules), remote-sender
+    rules, a one-to-many broadcast rule per source, controller taps, and
+    a pair of boosted-priority mirror rules (the live debugger's
+    signature)."""
+    workers = TABLE3_WORKERS
+    ports = {wid: TUNNEL_PORT + 1 + wid for wid in range(workers)}
+    entries = []
+    for src in range(workers):
+        src_port = ports[src]
+        for dst in range(workers):
+            if dst == src:
+                continue
+            entries.append(FlowEntry(
+                Match(in_port=src_port,
+                      dl_src=WorkerAddress(1, src),
+                      dl_dst=WorkerAddress(1, dst),
+                      ether_type=TYPHOON_ETHERTYPE),
+                (Output(ports[dst]),), priority=100))
+        entries.append(FlowEntry(
+            Match(in_port=src_port,
+                  dl_src=WorkerAddress(1, src),
+                  dl_dst=WorkerAddress(1, 1000 + src),
+                  ether_type=TYPHOON_ETHERTYPE),
+            (SetTunnelDst("peer-host"), Output(TUNNEL_PORT)), priority=100))
+        entries.append(FlowEntry(
+            Match(in_port=src_port, dl_dst=BROADCAST,
+                  ether_type=TYPHOON_ETHERTYPE),
+            tuple(Output(ports[dst]) for dst in range(workers) if dst != src),
+            priority=100))
+        entries.append(FlowEntry(
+            Match(in_port=src_port, dl_dst=CONTROLLER_ADDRESS,
+                  ether_type=TYPHOON_ETHERTYPE),
+            (Output(OFPP_CONTROLLER),), priority=100))
+    # Two live-debugger mirror rules at boosted priority.
+    for src in (0, 1):
+        entries.append(FlowEntry(
+            Match(in_port=ports[src],
+                  dl_src=WorkerAddress(1, src),
+                  dl_dst=WorkerAddress(1, (src + 1) % workers),
+                  ether_type=TYPHOON_ETHERTYPE),
+            (Output(ports[(src + 1) % workers]), Output(ports[workers - 1])),
+            priority=150))
+    return entries
+
+
+def test_table3_lookup_agrees_with_legacy_table():
+    """On the frame mix a fig8 steady state offers (a cycle over the
+    active (src, dst) pairs plus a broadcast), every answer is the entry
+    the linearly scanned reference table picks."""
+    table = FlowTable()
+    legacy = LegacyFlowTable()
+    for entry in _table3_entries():
+        table.add(entry)
+    for entry in _table3_entries():  # fresh entries: ids differ, matches equal
+        legacy.add(entry)
+    workers = TABLE3_WORKERS
+    frames = [(frame(src, (src + 1) % workers), TUNNEL_PORT + 1 + src)
+              for src in range(workers)]
+    frames.append((frame(0, BROADCAST), TUNNEL_PORT + 1))
+    for packet, in_port in frames:
+        hit = table.lookup(packet, in_port)
+        ref = legacy.lookup(packet, in_port)
+        assert hit is not None and ref is not None
+        assert (hit.match, hit.priority) == (ref.match, ref.priority)
