@@ -34,7 +34,7 @@ from ..streaming.tuples import Anchor, StreamTuple
 # tuples, a fresh lambda per scheduled callback, cancelled timers dropped
 # only when they surface at the heap top. The determinism-lock tests in
 # tests/test_sim_determinism.py replay randomized workloads on this kernel
-# and on the calendar-queue kernel and assert identical execution orders.
+# and on sim/engine.py's Engine and assert identical execution orders.
 
 
 class LegacyEvent:

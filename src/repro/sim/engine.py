@@ -21,23 +21,16 @@ produce identical traces.
 Scheduler design (DESIGN.md §5f)
 --------------------------------
 
-The ready queue is a *calendar queue* rather than a single binary heap:
+The ready queue is one binary heap (:mod:`heapq`) of ``[when, seq, fn,
+args]`` entries. ``seq`` counts every entry ever scheduled, so the heap
+orders events by ``(when, seq)``: by deadline, then FIFO among equal
+deadlines.
 
-* pending entries live in per-slot buckets keyed by ``floor(when / width)``;
-  a small heap of slot ids finds the earliest non-empty bucket, and an
-  *overflow heap* holds entries beyond the current calendar window (they
-  migrate into buckets when the window advances past them);
-* entries scheduled for the same timestamp are extracted as one batch and
-  executed back-to-back without touching any heap in between;
-* entries are ``__slots__`` records recycled through a free list, so the
-  steady state allocates no closures and (almost) no records;
-* cancelled timers are *lazily deleted*: their entries are flagged dead and
-  skipped/swept when their bucket is scanned, and a compaction pass rebuilds
-  the structures when dead entries outnumber live ones.
-
-Ordering is governed purely by ``(when, seq)`` — the bucket geometry (slot
-width, window span) affects only constant factors, never execution order,
-which is what keeps the rebuild bit-exact with the old global heap.
+A cancelled timer or an interrupted sleep is *lazily deleted*: its
+entry's ``fn`` is set to ``None``, and the run loop drops the entry when
+it reaches the top of the heap. When dead entries reach
+``_COMPACT_MIN`` and half the heap, the heap is filtered and
+re-heapified, so cancel churn cannot grow it without bound.
 """
 
 from __future__ import annotations
@@ -45,11 +38,8 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
-_SPAN = 4096          # calendar window, in slots
 _COMPACT_MIN = 64     # never compact below this many dead entries
-_FREE_LIST_MAX = 8192  # recycled-entry pool bound
-_MIN_WIDTH = 1e-9
-_MAX_WIDTH = 0.25
+_INF = float("inf")
 
 
 class SimulationError(Exception):
@@ -69,35 +59,6 @@ class Interrupt(Exception):
     def __init__(self, cause: Any = None):
         super().__init__(cause)
         self.cause = cause
-
-
-class _Entry:
-    """One scheduled callback: a recyclable ``(when, seq, fn, args)`` record.
-
-    ``dead`` marks lazily-deleted entries (cancelled timers, consumed
-    records); dead entries are skipped during bucket scans and swept by
-    compaction instead of being removed eagerly from the middle of a heap.
-    """
-
-    __slots__ = ("when", "seq", "fn", "args", "dead")
-
-    def __init__(self, when: float, seq: int, fn: Callable[..., None],
-                 args: tuple):
-        self.when = when
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.dead = False
-
-    def __lt__(self, other: "_Entry") -> bool:
-        # Overflow-heap ordering; seq breaks timestamp ties FIFO.
-        if self.when != other.when:
-            return self.when < other.when
-        return self.seq < other.seq
-
-
-def _entry_seq(entry: _Entry) -> int:
-    return entry.seq
 
 
 class Event:
@@ -165,18 +126,18 @@ class Timer(Event):
 
     Timers may be cancelled before they fire; a cancelled timer never
     triggers and resumes nobody. Cancellation flags the queued entry dead
-    (lazy deletion) instead of digging it out of the calendar.
+    (lazy deletion) instead of digging it out of the heap.
     """
 
     __slots__ = ("deadline", "cancelled", "_entry")
 
     def __init__(self, engine: "Engine", delay: float):
         super().__init__(engine)
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError("timer delay must be >= 0, got %r" % delay)
         self.deadline = engine.now + delay
         self.cancelled = False
-        self._entry: Optional[_Entry] = engine._push_entry(
+        self._entry: Optional[list] = engine._push_entry(
             self.deadline, self._expire, ())
 
     def cancel(self) -> None:
@@ -189,9 +150,7 @@ class Timer(Event):
         entry = self._entry
         if entry is not None:
             self._entry = None
-            if not entry.dead:
-                entry.dead = True
-                self.engine._note_dead()
+            self.engine._cancel(entry)
 
     def succeed(self, value: Any = None) -> "Event":
         self._disarm()  # fired early: the queued expiry is dead weight
@@ -227,7 +186,7 @@ class Process(Event):
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._waiting_on: Optional[Event] = None
-        self._sleep_entry: Optional[_Entry] = None
+        self._sleep_entry: Optional[list] = None
         self._alive = True
         # Tracks whether anyone observed a failure; see _step.
         self._had_waiters = False
@@ -266,9 +225,7 @@ class Process(Event):
             # Defuse a fast-path sleep exactly as Timer.cancel would:
             # flag the queued entry dead so it cannot wake us later.
             self._sleep_entry = None
-            if not entry.dead:
-                entry.dead = True
-                self.engine._note_dead()
+            self.engine._cancel(entry)
         self._step(None, Interrupt(cause))
 
     def _step(self, value: Any, exc: Optional[BaseException]) -> None:
@@ -312,7 +269,7 @@ class Process(Event):
             # cancellation accounting are identical to the Timer path,
             # so execution order is bit-for-bit unchanged.
             delay = float(target)
-            if delay < 0:
+            if not delay >= 0:
                 raise ValueError("timer delay must be >= 0, got %r" % delay)
             engine = self.engine
             self._sleep_entry = engine._push_entry(
@@ -343,33 +300,18 @@ class Process(Event):
 
 
 class Engine:
-    """The event loop: a calendar queue of recyclable entry records."""
+    """The event loop: one heap of ``[when, seq, fn, args]`` entries."""
 
     def __init__(self):
         self.now: float = 0.0
-        self._seq = 0
+        self._heap: List[list] = []
+        self._seq = 0              # entries created so far
+        self._dead = 0             # queued entries whose fn is None
         self._running = False
-        # Calendar state.
-        self._width = 1e-4
-        self._inv_width = 1.0 / self._width
-        self._slots: Dict[int, List[_Entry]] = {}
-        self._slot_heap: List[int] = []
-        self._overflow: List[_Entry] = []
-        self._horizon_time = _SPAN * self._width
-        # Entry bookkeeping.
-        self._free: List[_Entry] = []
-        self._pending = 0          # queued entries, dead included
-        self._dead = 0             # queued entries flagged dead
-        # Width-retune observation window (advances with the calendar).
-        self._events_at_retune = 0
-        self._time_at_retune = 0.0
         # Instrumentation (surfaced by :meth:`stats`).
-        self.stat_events = 0          # callbacks executed
-        self.stat_heap_pushes = 0     # slot-heap + overflow-heap pushes
-        self.stat_heap_pops = 0       # slot-heap + overflow-heap pops
-        self.stat_entry_allocs = 0    # fresh _Entry constructions
-        self.stat_entry_reuses = 0    # entries served from the free list
-        self.stat_cancel_hwm = 0      # high-water mark of dead entries
+        self.stat_events = 0       # callbacks executed
+        self.stat_dead_pops = 0    # dead entries dropped at the heap top
+        self.stat_cancel_hwm = 0   # high-water mark of dead entries
         self.stat_compactions = 0
 
     # -- scheduling ------------------------------------------------------
@@ -377,114 +319,53 @@ class Engine:
     @property
     def pending_count(self) -> int:
         """Live (non-cancelled) entries currently queued."""
-        return self._pending - self._dead
+        return len(self._heap) - self._dead
 
-    def stats(self) -> Dict[str, float]:
-        """Counters for the bench harness; cheap to call at any time."""
-        events = self.stat_events or 1
+    def stats(self) -> Dict[str, int]:
+        """Counters for the bench harness; cheap to call at any time.
+
+        Every entry is created by one heap push, and leaves by one pop
+        (it runs, or it is dropped dead) unless a compaction filters it
+        out."""
         return {
             "events_executed": self.stat_events,
-            "heap_pushes": self.stat_heap_pushes,
-            "heap_pops": self.stat_heap_pops,
-            "heap_ops_per_event": (self.stat_heap_pushes
-                                   + self.stat_heap_pops) / events,
-            "entry_allocs": self.stat_entry_allocs,
-            "entry_reuses": self.stat_entry_reuses,
-            "allocs_per_event": self.stat_entry_allocs / events,
+            "heap_pushes": self._seq,
+            "heap_pops": self.stat_events + self.stat_dead_pops,
+            "entry_allocs": self._seq,
             "cancelled_high_water": self.stat_cancel_hwm,
             "compactions": self.stat_compactions,
-            "pending": self.pending_count,
         }
 
     def _push_entry(self, when: float, fn: Callable[..., None],
-                    args: tuple) -> _Entry:
+                    args: tuple) -> list:
         seq = self._seq
         self._seq = seq + 1
-        free = self._free
-        if free:
-            entry = free.pop()
-            entry.when = when
-            entry.seq = seq
-            entry.fn = fn
-            entry.args = args
-            entry.dead = False
-            self.stat_entry_reuses += 1
-        else:
-            entry = _Entry(when, seq, fn, args)
-            self.stat_entry_allocs += 1
-        self._pending += 1
-        self._insert(entry)
+        entry = [when, seq, fn, args]
+        heapq.heappush(self._heap, entry)
         return entry
-
-    def _insert(self, entry: _Entry) -> None:
-        when = entry.when
-        if when >= self._horizon_time:
-            heapq.heappush(self._overflow, entry)
-            self.stat_heap_pushes += 1
-            return
-        slot = int(when * self._inv_width)
-        bucket = self._slots.get(slot)
-        if bucket is None:
-            self._slots[slot] = [entry]
-            heapq.heappush(self._slot_heap, slot)
-            self.stat_heap_pushes += 1
-        else:
-            bucket.append(entry)
-
-    def _push(self, when: float, callback: Callable[[], None]) -> None:
-        # Compatibility shim for the original heap API.
-        self._push_entry(when, callback, ())
-
-    def _recycle(self, entry: _Entry) -> None:
-        self._pending -= 1
-        free = self._free
-        if len(free) < _FREE_LIST_MAX:
-            entry.fn = None
-            entry.args = ()
-            free.append(entry)
 
     # -- lazy deletion ---------------------------------------------------
 
-    def _note_dead(self) -> None:
+    def _cancel(self, entry: list) -> None:
+        """Flag a queued entry dead; the run loop drops it at the top."""
+        if entry[2] is None:
+            return
+        entry[2] = None
         dead = self._dead + 1
         self._dead = dead
         if dead > self.stat_cancel_hwm:
             self.stat_cancel_hwm = dead
-        if dead >= _COMPACT_MIN and dead * 2 >= self._pending:
+        if dead >= _COMPACT_MIN and dead * 2 >= len(self._heap):
             self._compact()
 
-    def _note_swept(self) -> None:
-        if self._dead > 0:
-            self._dead -= 1
-
     def _compact(self) -> None:
-        """Rebuild the calendar without dead entries (bounds soak memory)."""
+        """Filter dead entries out of the heap (bounds soak memory).
+
+        In place, so a running loop's reference to the heap stays valid."""
         self.stat_compactions += 1
-        slots = self._slots
-        new_heap: List[int] = []
-        for slot in list(slots):
-            bucket = slots[slot]
-            live = [e for e in bucket if not e.dead]
-            if len(live) != len(bucket):
-                for e in bucket:
-                    if e.dead:
-                        self._recycle(e)
-            if live:
-                slots[slot] = live
-                new_heap.append(slot)
-            else:
-                del slots[slot]
-        heapq.heapify(new_heap)
-        self._slot_heap = new_heap
-        overflow = self._overflow
-        live_over = [e for e in overflow if not e.dead]
-        if len(live_over) != len(overflow):
-            for e in overflow:
-                if e.dead:
-                    self._recycle(e)
-            heapq.heapify(live_over)
-            self._overflow = live_over
-        self.stat_heap_pushes += len(new_heap) + len(live_over)
+        heap = self._heap
+        heap[:] = [entry for entry in heap if entry[2] is not None]
+        heapq.heapify(heap)
         self._dead = 0
 
     # -- public scheduling API -------------------------------------------
@@ -492,7 +373,7 @@ class Engine:
     def schedule(self, delay: float, callback: Callable[..., None],
                  *args: Any) -> None:
         """Run ``callback(*args)`` after ``delay`` virtual seconds."""
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError("delay must be >= 0, got %r" % delay)
         self._push_entry(self.now + delay, callback, args)
 
@@ -503,8 +384,9 @@ class Engine:
         The absolute twin of :meth:`schedule`: ``now + (when - now)`` can
         miss ``when`` by an ulp, which matters to a caller replaying a
         float grid. Same-instant entries stay FIFO by scheduling order."""
-        if when < self.now:
-            raise ValueError("time %r is before now (%r)" % (when, self.now))
+        if not when >= self.now:
+            raise ValueError("time must be >= now (%r), got %r"
+                             % (self.now, when))
         self._push_entry(when, callback, args)
 
     def timeout(self, delay: float) -> Timer:
@@ -575,84 +457,6 @@ class Engine:
 
     # -- running ---------------------------------------------------------
 
-    def _retune_width(self) -> None:
-        """Re-fit the slot width to recent traffic at a window boundary.
-
-        Only ever called when the calendar is empty, so no bucket needs
-        remapping; purely a constant-factor knob (ordering is untouched).
-        """
-        executed = self.stat_events - self._events_at_retune
-        span = self.now - self._time_at_retune
-        if executed >= 64 and span > 0.0:
-            width = (span / executed) * 8.0
-            if width < _MIN_WIDTH:
-                width = _MIN_WIDTH
-            elif width > _MAX_WIDTH:
-                width = _MAX_WIDTH
-            if width > self._width * 4.0 or width * 4.0 < self._width:
-                self._width = width
-                self._inv_width = 1.0 / width
-        self._events_at_retune = self.stat_events
-        self._time_at_retune = self.now
-
-    def _advance_window(self) -> None:
-        """Move the (empty) calendar window up to the overflow heap's head."""
-        self._retune_width()
-        overflow = self._overflow
-        head = overflow[0].when
-        inv = self._inv_width
-        base = int(head * inv)
-        self._horizon_time = (base + _SPAN) * self._width
-        horizon = self._horizon_time
-        slots = self._slots
-        slot_heap = self._slot_heap
-        while overflow and overflow[0].when < horizon:
-            entry = heapq.heappop(overflow)
-            self.stat_heap_pops += 1
-            if entry.dead:
-                self._note_swept()
-                self._recycle(entry)
-                continue
-            slot = int(entry.when * inv)
-            bucket = slots.get(slot)
-            if bucket is None:
-                slots[slot] = [entry]
-                heapq.heappush(slot_heap, slot)
-                self.stat_heap_pushes += 1
-            else:
-                bucket.append(entry)
-
-    def _execute_batch(self, batch: List[_Entry]) -> bool:
-        """Run one same-timestamp batch; returns False on StopEngine."""
-        index = 0
-        count = len(batch)
-        try:
-            while index < count:
-                entry = batch[index]
-                index += 1
-                if entry.dead:
-                    # Cancelled by an earlier callback in this very batch.
-                    self._note_swept()
-                    self._recycle(entry)
-                    continue
-                fn = entry.fn
-                args = entry.args
-                self._recycle(entry)
-                self.stat_events += 1
-                if args:
-                    fn(*args)
-                else:
-                    fn()
-        except StopEngine:
-            for entry in batch[index:]:
-                self._insert(entry)
-            return False
-        except BaseException:
-            for entry in batch[index:]:
-                self._insert(entry)
-            raise
-        return True
-
     def run(self, until: Optional[float] = None) -> float:
         """Run the event loop.
 
@@ -663,80 +467,35 @@ class Engine:
         if self._running:
             raise SimulationError("engine is already running")
         self._running = True
-        slots = self._slots
-        slot_heap = self._slot_heap
+        heap = self._heap
+        pop = heapq.heappop
+        limit = _INF if until is None else until
         try:
-            while True:
-                # Find the earliest populated bucket, discarding slot ids
-                # whose buckets were consumed (lazy slot-heap deletion).
-                while slot_heap and slot_heap[0] not in slots:
-                    heapq.heappop(slot_heap)
-                    self.stat_heap_pops += 1
-                if not slot_heap:
-                    overflow = self._overflow
-                    if not overflow:
-                        break
-                    head = overflow[0].when
-                    if head != head or head - head != 0.0:  # nan/inf guard
-                        if until is not None:
-                            break
-                        batch = []
-                        while overflow and overflow[0].when == head:
-                            batch.append(heapq.heappop(overflow))
-                            self.stat_heap_pops += 1
-                        self.now = head
-                        if not self._execute_batch(batch):
-                            break
-                        continue
-                    self._advance_window()
-                    slot_heap = self._slot_heap  # compaction may rebuild it
+            while heap:
+                entry = heap[0]
+                fn = entry[2]
+                if fn is None:
+                    pop(heap)
+                    self._dead -= 1
+                    self.stat_dead_pops += 1
                     continue
-                slot = slot_heap[0]
-                bucket = slots[slot]
-                # Pass 1: earliest live timestamp in the head bucket (the
-                # head bucket always contains the global minimum).
-                batch_when = None
-                for entry in bucket:
-                    if not entry.dead:
-                        when = entry.when
-                        if batch_when is None or when < batch_when:
-                            batch_when = when
-                if batch_when is None:
-                    # Bucket is all dead weight: sweep it without advancing
-                    # the clock (matches the old cancelled-timer drop).
-                    for entry in bucket:
-                        self._note_swept()
-                        self._recycle(entry)
-                    del slots[slot]
-                    continue
-                if until is not None and batch_when > until:
+                when = entry[0]
+                if when > limit:
                     break
-                # Pass 2: split the batch out, sweeping dead entries.
-                batch = []
-                rest = []
-                for entry in bucket:
-                    if entry.dead:
-                        self._note_swept()
-                        self._recycle(entry)
-                    elif entry.when == batch_when:
-                        batch.append(entry)
-                    else:
-                        rest.append(entry)
-                if rest:
-                    slots[slot] = rest
+                pop(heap)
+                self.now = when
+                self.stat_events += 1
+                args = entry[3]
+                if args:
+                    fn(*args)
                 else:
-                    del slots[slot]
-                # Requeued remainders can leave buckets out of seq order;
-                # a near-sorted sort is cheap and restores FIFO exactly.
-                batch.sort(key=_entry_seq)
-                self.now = batch_when
-                if not self._execute_batch(batch):
-                    break
-                slot_heap = self._slot_heap  # compaction may rebuild it
-            if until is not None and self.now < until:
-                self.now = until
+                    fn()
+        except StopEngine:
+            pass
         finally:
             self._running = False
+        if until is not None and self.now < until:
+            self.now = until
         return self.now
 
     def stop(self) -> None:

@@ -33,6 +33,41 @@ def test_negative_delay_rejected(engine):
         engine.schedule(-0.1, lambda: None)
 
 
+def _process_yielding_nan(engine):
+    def proc():
+        yield float("nan")
+
+    engine.process(proc())
+    engine.run()
+
+
+@pytest.mark.parametrize("call", [
+    lambda engine: engine.schedule(float("nan"), lambda: None),
+    lambda engine: engine.schedule_at(float("nan"), lambda: None),
+    lambda engine: engine.timeout(float("nan")),
+    _process_yielding_nan,
+], ids=["schedule", "schedule_at", "timeout", "process-yield"])
+def test_nan_time_rejected_and_nothing_queued(engine, call):
+    # A NaN compares false with every deadline, so queued it would
+    # break the heap's order.
+    with pytest.raises(ValueError):
+        call(engine)
+    assert engine.pending_count == 0
+
+
+def test_far_future_deadline_does_not_block_run_until(engine):
+    engine.timeout(1e16)
+    assert engine.run(until=5.0) == 5.0
+    assert engine.pending_count == 1
+
+
+def test_far_future_callback_fires(engine):
+    fired = []
+    engine.schedule(1e300, lambda: fired.append(engine.now))
+    engine.run()
+    assert fired == [1e300]
+
+
 def test_schedule_at_fires_at_the_exact_time(engine):
     engine.run(until=0.2)
     fired = []
